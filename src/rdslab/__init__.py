@@ -56,7 +56,6 @@ from .noise import (
     WienerPath,
     empirical_decay_bound,
     ou_series,
-    ou_value,
     sample_wiener,
     zero_wiener,
 )
@@ -83,7 +82,7 @@ from .solver import (
 from .config import ExperimentSpec, parse_config
 from .experiments import ExperimentResult, run_experiment
 
-__version__ = "1.0.0"
+__version__ = "1.0.0"  # the only version string: pyproject.toml reads it
 
 __all__ = [
     "ConditionViolatedError",
@@ -112,7 +111,6 @@ __all__ = [
     "WienerPath",
     "empirical_decay_bound",
     "ou_series",
-    "ou_value",
     "sample_wiener",
     "zero_wiener",
     "DerivedConstants",

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConditionViolatedError, ParameterError
 from .grid import Grid, make_grid
 from .model import ModelParams, Nonlinearity, default_profiles
-from .solver import SolverConfig, contraction_interval
+from .solver import contraction_interval
 
 __all__ = ["ExperimentSpec", "parse_config", "EXPERIMENTS", "config_template"]
 
@@ -49,7 +49,6 @@ _COMMON = {
     "seed": (_int, _REQUIRED),
     "L": (_float, 20.0),
     "N": (_int, 200),
-    "workers": (_int, 1),
 }
 
 _DYNAMICS = {
@@ -140,9 +139,6 @@ class ExperimentSpec:
             profiles=default_profiles(v["m"], span=v["L"]),
         )
 
-    def solver_config(self, mode: str = "method-of-steps") -> SolverConfig:
-        return SolverConfig(self.values["dt"], mode=mode)
-
 
 def _validate_conditions(spec: ExperimentSpec) -> None:
     """Experiment-specific structural requirements, checked pre-compute."""
@@ -184,10 +180,9 @@ def _validate_conditions(spec: ExperimentSpec) -> None:
             raise ParameterError(f"dt = {spec['dt']} does not divide tau = {params.tau}")
     if name == "convergence-study":
         for label, step in (("dt", spec["dt"]), ("dt/2", spec["dt"] / 2.0)):
-            for other, value in (("tau", spec["tau"]), ):
-                ratio = value / step
-                if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                    raise ParameterError(f"{label} = {step} does not divide {other} = {value}")
+            ratio = spec["tau"] / step
+            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+                raise ParameterError(f"{label} = {step} does not divide tau = {spec['tau']}")
             ratio = step / spec["dt_ref"]
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or ratio < 2:
                 raise ParameterError(
@@ -251,7 +246,7 @@ def parse_config(text: str) -> ExperimentSpec:
 _POSITIVE = ("L", "mu", "alpha", "tau", "dt", "dt_path", "dt_ref", "beta",
              "horizon", "t_max", "co_max", "bound")
 _NONNEGATIVE = ("epsilon", "lipschitz", "seed", "t", "s")
-_POSITIVE_INT = ("N", "trials", "fields", "paths", "segments", "m", "workers")
+_POSITIVE_INT = ("N", "trials", "fields", "paths", "segments", "m")
 
 
 def _validate_ranges(values: dict) -> None:

@@ -6,13 +6,12 @@ rendering, so identical spec + seed gives byte-identical output) and a
 list of named pass/fail checks, one per asserted invariant.
 
 Monte Carlo samples carry their own derived seeds (base seed + sample
-index), so results are independent of the worker count used to compute
-them; a thread pool only reorders the computation, never the output.
+index), so each sample's output does not depend on the order in which
+the samples are computed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .noise import (
     OUParams,
     default_s_cut,
     empirical_decay_bound,
-    ou_value,
+    ou_series,
     sample_wiener,
     sde_residual,
     temperedness_diagnostic,
@@ -94,14 +93,6 @@ def _format_cell(cell) -> str:
     return "%.17g" % cell
 
 
-def _map(fn, items, workers: int) -> list:
-    """Order-preserving map, optionally over a thread pool."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ----------------------------------------------------------------------
 # individual experiments
 # ----------------------------------------------------------------------
@@ -122,7 +113,7 @@ def _run_kernel_bound(spec: ExperimentSpec) -> ExperimentResult:
         sup_out = float(np.max(np.abs(out)))
         return (i, sup_in, sup_out, sup_out / sup_in)
 
-    rows = _map(one, range(trials), spec["workers"])
+    rows = [one(i) for i in range(trials)]
     max_ratio = max(row[3] for row in rows)
 
     # The truncation to [0, L] makes the outer half of the grid
@@ -196,7 +187,7 @@ def _run_semigroup_bounds(spec: ExperimentSpec) -> ExperimentResult:
         cells.append(report.all_ok)
         return tuple(cells)
 
-    rows = _map(one, jobs, spec["workers"])
+    rows = [one(job) for job in jobs]
     n_bad = sum(1 for row in rows if not row[-1])
     checks = (
         CheckResult(
@@ -226,11 +217,14 @@ def _run_ou_stats(spec: ExperimentSpec) -> ExperimentResult:
     s_cut = default_s_cut(mu, dt_path)
     p = OUParams(mu, s_cut)
 
-    def one(i: int) -> tuple:
-        path = sample_wiener(1, -s_cut, 0.0, dt_path, spec["seed"] + i)
-        return (i, ou_value(path, p, 0.0))
+    def z(path, t: float = 0.0) -> float:
+        # a one-element list, not a scalar: perfbench's trace hook takes len(times)
+        return float(ou_series(path, p, [t])[0, 0])
 
-    rows = _map(one, range(n_paths), spec["workers"])
+    rows = [
+        (i, z(sample_wiener(1, -s_cut, 0.0, dt_path, spec["seed"] + i)))
+        for i in range(n_paths)
+    ]
     samples = np.array([row[1] for row in rows])
     var = float(np.var(samples))
     target = 1.0 / (2.0 * mu)
@@ -240,7 +234,7 @@ def _run_ou_stats(spec: ExperimentSpec) -> ExperimentResult:
     probe = sample_wiener(1, -s_cut - 6.0, 6.0, dt_path, spec["seed"] + n_paths)
     shifts = np.arange(1, 7) * 1.0
     shift_gap = max(
-        abs(ou_value(probe, p, t) - ou_value(probe.shift(t), p, 0.0)) for t in shifts
+        abs(z(probe, t) - z(probe.shift(t))) for t in shifts
     )
     residual = sde_residual(probe, p, -5.0, 0.0)
 
@@ -287,7 +281,7 @@ def _run_temperedness(spec: ExperimentSpec) -> ExperimentResult:
         r_hat = empirical_decay_bound(path, p, -horizon, 0.0)
         return (i, r_hat, float(diag[-1]))
 
-    rows = _map(one, range(n_paths), spec["workers"])
+    rows = [one(i) for i in range(n_paths)]
     finals = np.array([row[2] for row in rows])
     frac = float(np.mean(finals < 1e-3))
     checks = (
@@ -468,7 +462,7 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
                 path_rows.append((i, j, t, norms[k], radius, entry_time))
         return path_rows, radius, worst_post, transient_excess, all_entered, bound_excess
 
-    results = _map(one_path, range(n_paths), spec["workers"])
+    results = [one_path(i) for i in range(n_paths)]
     rows = [row for path_rows, *_ in results for row in path_rows]
     entered = all(r[4] for r in results)
     c1_measured = max(0.0, max(r[3] for r in results))

@@ -15,25 +15,28 @@ The stationary integrator for a component with decay rate mu is
 
     z(theta_t w) = -mu * integral_{-s_cut}^0 e^{mu s} (theta_t w)(s) ds
 
-evaluated by the trapezoid rule on the path lattice.  The window s_cut is
-chosen with mu * s_cut >= 40 so the discarded tail weight e^{-mu s_cut}
-is below 4e-18, i.e. invisible at double precision.  In stationarity each
-z is centered Gaussian with variance 1/(2 mu).
+evaluated by the trapezoid rule on the path lattice (``ou_series``, the
+one evaluator).  The window s_cut is chosen with mu * s_cut >= 40 so the
+discarded tail weight e^{-mu s_cut} is below 4e-18, i.e. invisible at
+double precision.  In stationarity each z is centered Gaussian with
+variance 1/(2 mu).
 
 Spatial noise shapes g_j vanish at the origin and decay; their second
 derivatives are carried analytically so the forcing term of the
-transformed equation needs no numerical differentiation.
+transformed equation needs no numerical differentiation.  ``noise_rows``
+is the one map from shapes and z to the rows sum_j g_j(x) z_j(t) that the
+conjugation subtracts and adds back.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, WindowExhaustedError
-from .grid import Field, Grid
 
 __all__ = [
     "WienerPath",
@@ -41,19 +44,14 @@ __all__ = [
     "zero_wiener",
     "OUParams",
     "default_s_cut",
-    "ou_value",
-    "ou_vector",
     "ou_series",
     "sde_residual",
     "temperedness_diagnostic",
     "empirical_decay_bound",
     "ProfileSpec",
     "NoiseProfiles",
-    "noise_field",
-    "laplacian_noise_field",
+    "noise_rows",
 ]
-
-_LATTICE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,23 +95,31 @@ class WienerPath:
     def t_hi(self) -> float:
         return (self.base_values.shape[1] - 1 - self.origin) * self.dt_knot
 
-    def index_of(self, t: float) -> int:
-        """Base index of lattice time t; errors if off-lattice or outside."""
-        k = t / self.dt_knot
-        ki = int(round(k))
-        if abs(k - ki) > 1e-6:
-            raise ParameterError(f"time {t} is not on the path lattice (dt = {self.dt_knot})")
-        idx = self.origin + ki
-        if idx < 0 or idx >= self.base_values.shape[1]:
-            raise WindowExhaustedError(
-                f"time {t} outside sampled window [{self.t_lo}, {self.t_hi}]"
-            )
-        return idx
+    def index_of(self, t):
+        """Base index of lattice time t: an int for a scalar, an array for an array.
 
-    def value(self, t: float) -> np.ndarray:
-        """Path value w(t) - w(0); exact zero at t = 0."""
-        idx = self.index_of(t)
-        return self.base_values[:, idx] - self.base_values[:, self.origin]
+        Errors if a time is off-lattice or outside the window, naming the
+        first such time.
+        """
+        t = np.asarray(t, dtype=float)
+        k = t / self.dt_knot
+        ki = np.rint(k)
+        off = np.abs(k - ki) > 1e-6
+        if off.any():
+            bad = float(t.flat[np.argmax(off)])
+            raise ParameterError(f"time {bad} is not on the path lattice (dt = {self.dt_knot})")
+        idx = self.origin + ki.astype(np.int64)
+        outside = (idx < 0) | (idx >= self.base_values.shape[1])
+        if outside.any():
+            bad = float(t.flat[np.argmax(outside)])
+            raise WindowExhaustedError(
+                f"time {bad} outside sampled window [{self.t_lo}, {self.t_hi}]"
+            )
+        return int(idx) if idx.ndim == 0 else idx
+
+    def value(self, t) -> np.ndarray:
+        """Path value w(t) - w(0), shape (m,) or (m, len(t)); exact zero at t = 0."""
+        return self.knots()[:, self.index_of(t)]
 
     def shift(self, s: float) -> "WienerPath":
         """The shifted path theta_s w, sharing this path's base record."""
@@ -129,14 +135,8 @@ class WienerPath:
         return self.base_values - self.base_values[:, self.origin][:, None]
 
 
-def sample_wiener(m: int, t_lo: float, t_hi: float, dt_path: float, seed: int) -> WienerPath:
-    """Sample an m-component two-sided Wiener path on [t_lo, t_hi].
-
-    t_lo <= 0 <= t_hi and both must be lattice multiples of dt_path.  The
-    two half-axes use independent increment blocks; the forward block is
-    drawn first, so enlarging the backward window does not change the
-    forward samples for a fixed seed.
-    """
+def _window_steps(m: int, t_lo: float, t_hi: float, dt_path: float) -> tuple[int, int]:
+    """Lattice steps (backward, forward) of the window [t_lo, t_hi], validated."""
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ParameterError(f"m must be a positive integer, got {m!r}")
     if not (np.isfinite(dt_path) and dt_path > 0):
@@ -147,7 +147,18 @@ def sample_wiener(m: int, t_lo: float, t_hi: float, dt_path: float, seed: int) -
     n_pos = t_hi / dt_path
     if abs(n_neg - round(n_neg)) > 1e-6 or abs(n_pos - round(n_pos)) > 1e-6:
         raise ParameterError("t_lo and t_hi must be integer multiples of dt_path")
-    n_neg, n_pos = int(round(n_neg)), int(round(n_pos))
+    return int(round(n_neg)), int(round(n_pos))
+
+
+def sample_wiener(m: int, t_lo: float, t_hi: float, dt_path: float, seed: int) -> WienerPath:
+    """Sample an m-component two-sided Wiener path on [t_lo, t_hi].
+
+    t_lo <= 0 <= t_hi and both must be lattice multiples of dt_path.  The
+    two half-axes use independent increment blocks; the forward block is
+    drawn first, so enlarging the backward window does not change the
+    forward samples for a fixed seed.
+    """
+    n_neg, n_pos = _window_steps(m, t_lo, t_hi, dt_path)
     rng = np.random.default_rng(seed)
     root_dt = math.sqrt(dt_path)
     values = np.zeros((int(m), n_neg + n_pos + 1))
@@ -161,15 +172,11 @@ def sample_wiener(m: int, t_lo: float, t_hi: float, dt_path: float, seed: int) -
 
 
 def zero_wiener(m: int, t_lo: float, t_hi: float, dt_path: float) -> WienerPath:
-    """Identically-zero path on the given window: the noise-free driver."""
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
-    if not (np.isfinite(dt_path) and dt_path > 0):
-        raise ParameterError(f"dt_path must be positive, got {dt_path!r}")
-    n_neg = int(round(-t_lo / dt_path))
-    n_pos = int(round(t_hi / dt_path))
-    if n_neg < 0 or n_pos < 0 or n_neg + n_pos < 1:
-        raise ParameterError(f"window [{t_lo}, {t_hi}] is invalid")
+    """Identically-zero path on the given window: the noise-free driving path.
+
+    The window obeys the same rules as for :func:`sample_wiener`.
+    """
+    n_neg, n_pos = _window_steps(m, t_lo, t_hi, dt_path)
     return WienerPath(np.zeros((int(m), n_neg + n_pos + 1)), n_neg, dt_path)
 
 
@@ -196,47 +203,34 @@ def default_s_cut(mu: float, dt_path: float) -> float:
     return math.ceil(40.0 / (mu * dt_path) - 1e-9) * dt_path
 
 
-def _window_kernel(p: OUParams, dt: float) -> tuple[int, np.ndarray]:
-    """Trapezoid weights times e^{mu s} on the history window lattice."""
+@functools.lru_cache(maxsize=32)
+def _window_kernel(p: OUParams, dt: float) -> tuple[int, np.ndarray, float]:
+    """Trapezoid weights times e^{mu s} on the history window lattice, and
+    their sum; cached, since many paths share one window."""
     n_cut = int(math.ceil(p.s_cut / dt - 1e-9))
     s = -n_cut * dt + dt * np.arange(n_cut + 1)
     w = np.full(n_cut + 1, dt)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return n_cut, w * np.exp(p.mu * s)
+    ker = w * np.exp(p.mu * s)
+    ker.setflags(write=False)
+    return n_cut, ker, float(np.sum(ker))
 
 
-def ou_vector(path: WienerPath, p: OUParams, t: float) -> np.ndarray:
-    """All components of the stationary integrator at shift t, shape (m,)."""
-    n_cut, ker = _window_kernel(p, path.dt_knot)
-    i_t = path.index_of(t)
-    if i_t - n_cut < 0:
-        raise WindowExhaustedError(
-            f"stationary evaluation at t = {t} needs {n_cut} lattice points of history"
-        )
-    seg = path.base_values[:, i_t - n_cut : i_t + 1] - path.base_values[:, i_t][:, None]
-    return -p.mu * (seg @ ker)
+def ou_series(path: WienerPath, p: OUParams, times) -> np.ndarray:
+    """Stationary integrator at lattice times, shape (m, len(times)).
 
-
-def ou_value(path: WienerPath, p: OUParams, t: float, component: int = 0) -> float:
-    """Single component of the stationary integrator at shift t."""
-    if not (0 <= component < path.m):
-        raise ParameterError(f"component {component} outside 0..{path.m - 1}")
-    return float(ou_vector(path, p, t)[component])
-
-
-def ou_series(path: WienerPath, p: OUParams, times: np.ndarray) -> np.ndarray:
-    """Stationary integrator along many lattice times, shape (m, len(times)).
-
-    Same trapezoid evaluation as :func:`ou_value`, vectorized with a
-    sliding correlation; agrees with pointwise calls to roundoff.
+    A scalar time gives shape (m, 1).  Each value is the trapezoid sum
+    over the history window, read from one sliding correlation of the
+    base record, so it depends only on the base index of its time: a
+    shifted path sharing the base record gives the same bits.
     """
-    times = np.asarray(times, dtype=float)
-    n_cut, ker = _window_kernel(p, path.dt_knot)
-    idx = np.array([path.index_of(t) for t in np.atleast_1d(times)])
+    n_cut, ker, ker_mass = _window_kernel(p, path.dt_knot)
+    idx = np.atleast_1d(path.index_of(times))
     if idx.size and idx.min() - n_cut < 0:
-        raise WindowExhaustedError("stationary series needs more history than the path window")
-    ker_mass = float(np.sum(ker))
+        raise WindowExhaustedError(
+            f"stationary evaluation needs {n_cut} lattice points of history before each time"
+        )
     out = np.empty((path.m, idx.size))
     for j in range(path.m):
         corr = np.correlate(path.base_values[j], ker, mode="valid")
@@ -258,7 +252,7 @@ def sde_residual(path: WienerPath, p: OUParams, t0: float, t1: float) -> float:
         raise ParameterError(f"empty interval [{t0}, {t1}]")
     t = path.dt_knot * np.arange(n0, n1 + 1)
     z = ou_series(path, p, t)
-    w = np.column_stack([path.value(ti) for ti in t])
+    w = path.value(t)
     zint = np.trapezoid(z, dx=path.dt_knot, axis=1)
     defect = (z[:, -1] - z[:, 0]) + p.mu * zint - (w[:, -1] - w[:, 0])
     return float(np.max(np.abs(defect)))
@@ -373,20 +367,22 @@ class NoiseProfiles:
         return float(np.sqrt(np.max(np.sum(g * g, axis=0))))
 
 
-def _combine(profile_rows: np.ndarray, z: np.ndarray, grid: Grid) -> Field:
+def noise_rows(profile_rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Noise rows sum_j z_j(t) g_j(x), shape (n_times, n_nodes).
+
+    profile_rows (m, n_nodes) holds the profiles g_j or their second
+    derivatives on the nodes; z (m, n_times) is an :func:`ou_series`.  The
+    sum over components is an explicit ordered loop, so every row depends
+    only on its own column of z: rows built for different time sets agree
+    bit for bit where the times agree.
+    """
     z = np.asarray(z, dtype=float)
-    if z.shape != (profile_rows.shape[0],):
+    if z.ndim != 2 or z.shape[0] != profile_rows.shape[0]:
         raise ParameterError(
-            f"z has shape {z.shape}, expected ({profile_rows.shape[0]},) to match profiles"
+            f"z has shape {z.shape}, expected ({profile_rows.shape[0]}, n_times) to match profiles"
         )
-    return Field(grid, z @ profile_rows)
-
-
-def noise_field(profiles: NoiseProfiles, z: np.ndarray, grid: Grid) -> Field:
-    """Spatial noise field sum_j g_j(x) z_j; vanishes at x = 0."""
-    return _combine(profiles.values(grid.nodes), z, grid)
-
-
-def laplacian_noise_field(profiles: NoiseProfiles, z: np.ndarray, grid: Grid) -> Field:
-    """Analytic Laplacian of the noise field, sum_j g_j''(x) z_j."""
-    return _combine(profiles.second_derivatives(grid.nodes), z, grid)
+    rows = z[0][:, None] * profile_rows[0]
+    rows += 0.0  # the bits of a sum started at +0.0, -0.0 included, with no zero-filled buffer
+    for j in range(1, z.shape[0]):
+        rows += z[j][:, None] * profile_rows[j]
+    return rows

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolatedError, ParameterError
-from .grid import Grid, Segment, compact_open_norm, segment_co_norm, segment_sup_norm, sup_norm
+from .grid import Grid, Segment, segment_co_norm, segment_sup_norm, sup_norm
 from .model import ModelParams
 from .noise import OUParams, WienerPath, default_s_cut, empirical_decay_bound
-from .solver import DelaySolver, Trajectory, to_u
+from .solver import DelaySolver, Trajectory, to_u, to_v
 
 __all__ = [
     "DerivedConstants",
@@ -183,10 +183,11 @@ def pullback_conjugated(
     return _run_norms(t, traj.terminal_segment)
 
 
-def _noise_segment_values(solver: DelaySolver, path: WienerPath) -> np.ndarray:
-    """Noise-field rows on the initial window [-tau, 0] of a run."""
-    z_rows, _ = solver.noise_series(path, solver.cfg.dt)
-    return z_rows[: solver.delay_steps + 1]
+def _conjugate(solver: DelaySolver, phi: Segment, path: WienerPath) -> Segment:
+    """The v-history of the u-history phi: :func:`to_v` on [-tau, 0], so
+    the rows subtracted here are the rows :func:`to_u` adds back."""
+    history = Trajectory(phi.grid, phi.tau, phi.dt, phi.values)
+    return to_v(history, solver.params, path).initial_segment
 
 
 def pullback_state(
@@ -199,10 +200,7 @@ def pullback_state(
     """
     _check_pullback_time(solver, t)
     shifted = path.shift(-t)
-    psi = Segment(
-        phi.grid, phi.tau, phi.dt, phi.values - _noise_segment_values(solver, shifted)
-    )
-    traj = solver.solve(psi, shifted, t)
+    traj = solver.solve(_conjugate(solver, phi, shifted), shifted, t)
     return _run_norms(t, to_u(traj, solver.params, shifted).terminal_segment)
 
 
@@ -210,10 +208,7 @@ def advance_state(
     solver: DelaySolver, phi: Segment, path: WienerPath, horizon: float
 ) -> Segment:
     """Advance a u-segment by the solution map along the given path."""
-    psi = Segment(
-        phi.grid, phi.tau, phi.dt, phi.values - _noise_segment_values(solver, path)
-    )
-    traj = solver.solve(psi, path, horizon)
+    traj = solver.solve(_conjugate(solver, phi, path), path, horizon)
     return to_u(traj, solver.params, path).terminal_segment
 
 

@@ -45,7 +45,7 @@ from .errors import ParameterError
 from .grid import Field, Grid, Segment
 from .kernel import DispersalKernel
 from .model import ModelParams
-from .noise import OUParams, WienerPath, default_s_cut, ou_series
+from .noise import OUParams, WienerPath, default_s_cut, noise_rows, ou_series
 from .semigroup import DirichletHeatSemigroup
 
 __all__ = [
@@ -229,7 +229,7 @@ class DelaySolver:
         self.dispersal = DispersalKernel(params.alpha, grid)
         self._profile_rows = params.profiles.values(grid.nodes)
         self._laplacian_rows = params.profiles.second_derivatives(grid.nodes)
-        self.ou_params = OUParams(params.mu, default_s_cut(params.mu, cfg.dt))
+        self.ou_params = _ou_window(params.mu, cfg.dt)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -254,20 +254,11 @@ class DelaySolver:
         return int(round(n))
 
     def noise_series(self, path: WienerPath, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-        """Noise field and Laplacian rows at all frame times -tau .. horizon.
-
-        Summation over components is an explicit ordered loop so that runs
-        sharing a base path record produce bit-identical rows.
-        """
+        """Noise field and Laplacian rows at all frame times -tau .. horizon."""
         m, n_steps = self.delay_steps, int(round(horizon / self.cfg.dt))
         times = self.cfg.dt * (np.arange(m + n_steps + 1) - m)
         z = ou_series(path, self.ou_params, times)
-        z_rows = np.zeros((times.size, self.grid.n_cells + 1))
-        q_rows = np.zeros_like(z_rows)
-        for j in range(z.shape[0]):
-            z_rows += z[j][:, None] * self._profile_rows[j]
-            q_rows += z[j][:, None] * self._laplacian_rows[j]
-        return z_rows, q_rows
+        return noise_rows(self._profile_rows, z), noise_rows(self._laplacian_rows, z)
 
     def _forcing(self, delayed_values: np.ndarray, delayed_noise_row: np.ndarray,
                  laplacian_row: np.ndarray) -> np.ndarray:
@@ -335,14 +326,19 @@ class DelaySolver:
         return traj, report
 
 
+def _ou_window(mu: float, dt: float) -> OUParams:
+    """OU window for frames spaced dt.
+
+    The solver and :func:`to_u` / :func:`to_v` all take it from here, so
+    the noise rows removed on entry and added back on exit agree bit for
+    bit even when the path is finer than the frames.
+    """
+    return OUParams(mu, default_s_cut(mu, dt))
+
+
 def _noise_rows_for(traj: Trajectory, params: ModelParams, path: WienerPath) -> np.ndarray:
-    oup = OUParams(params.mu, default_s_cut(params.mu, path.dt_knot))
-    z = ou_series(path, oup, traj.times())
-    rows = np.zeros_like(traj.values)
-    profile_rows = params.profiles.values(traj.grid.nodes)
-    for j in range(z.shape[0]):
-        rows += z[j][:, None] * profile_rows[j]
-    return rows
+    z = ou_series(path, _ou_window(params.mu, traj.dt), traj.times())
+    return noise_rows(params.profiles.values(traj.grid.nodes), z)
 
 
 def to_u(traj: Trajectory, params: ModelParams, path: WienerPath) -> Trajectory:

@@ -29,7 +29,8 @@ def test_parse_valid_config():
     assert spec["N"] == 200
     assert spec["seed"] == 7
     assert spec["trials"] == 100
-    assert spec["workers"] == 1  # documented default
+    with pytest.raises(ParameterError, match="workers"):
+        parse_config(VALID_KERNEL + "workers = 2\n")  # no thread pool to size
 
 
 def test_parse_comments_and_blank_lines():

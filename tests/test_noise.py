@@ -14,11 +14,8 @@ from rdslab.noise import (
     WienerPath,
     default_s_cut,
     empirical_decay_bound,
-    laplacian_noise_field,
-    noise_field,
+    noise_rows,
     ou_series,
-    ou_value,
-    ou_vector,
     sample_wiener,
     sde_residual,
     temperedness_diagnostic,
@@ -36,6 +33,21 @@ def test_path_basics():
         path.value(6.0)
     with pytest.raises(ParameterError, match="lattice|knot"):
         path.value(0.05)
+
+
+def test_index_of_accepts_arrays():
+    path = sample_wiener(1, -2.0, 1.0, 0.1, seed=1)
+    idx = path.index_of(0.3)
+    assert isinstance(idx, int) and idx == 23
+    times = np.array([-2.0, -0.1, 0.0, 0.3, 1.0])
+    per_time = [path.origin + int(round(t / path.dt_knot)) for t in times]
+    assert np.array_equal(path.index_of(times), per_time)
+    assert np.array_equal(path.value(times)[:, 3], path.value(0.3))
+    # errors name the first offending time
+    with pytest.raises(ParameterError, match="time 0.05 "):
+        path.index_of(np.array([0.0, 0.05, 0.07]))
+    with pytest.raises(WindowExhaustedError, match="time 1.5 "):
+        path.index_of(np.array([0.0, 1.5, -3.0]))
 
 
 def test_path_increments_have_brownian_scale():
@@ -64,7 +76,15 @@ def test_zero_wiener_is_zero():
     p = OUParams(1.0, default_s_cut(1.0, 0.5))
     # needs history -s_cut; extend window accordingly
     path = zero_wiener(2, -45.0, 5.0, 0.5)
-    assert np.all(ou_vector(path, p, 0.0) == 0.0)
+    assert np.all(ou_series(path, p, [-1.0, 0.0, 5.0]) == 0.0)
+
+
+def test_zero_wiener_checks_its_window_like_sample_wiener():
+    for bad in ((1, -0.55, 1.0, 0.1), (1, 1.0, 2.0, 0.1), (1, 0.0, 0.0, 0.1)):
+        with pytest.raises(ParameterError):
+            sample_wiener(*bad, seed=0)
+        with pytest.raises(ParameterError):
+            zero_wiener(*bad)
 
 
 def test_ou_params_validation():
@@ -86,10 +106,19 @@ def test_ou_shift_identity_bit_exact():
     dt = 0.05
     p = OUParams(1.0, default_s_cut(1.0, dt))
     path = sample_wiener(3, -p.s_cut - 6.0, 6.0, dt, seed=4)
-    for t in (-2.0, 0.55, 3.0, 6.0):
-        left = ou_vector(path, p, t)
-        right = ou_vector(path.shift(t), p, 0.0)
-        assert np.array_equal(left, right)
+    times = (-2.0, 0.55, 3.0, 6.0)
+    series = ou_series(path, p, times)
+    for k, t in enumerate(times):
+        right = ou_series(path.shift(t), p, 0.0)[:, 0]
+        assert np.array_equal(series[:, k], right)
+
+
+def _trapezoid_oracle(path, p, t):
+    """-mu * trapezoid sum of e^{mu s} (w(t + s) - w(t)) over s in [-s_cut, 0]."""
+    dt = path.dt_knot
+    s = dt * np.arange(-int(np.ceil(p.s_cut / dt - 1e-9)), 1)
+    seg = path.value(t + s) - path.value(t)[:, None]
+    return -p.mu * np.trapezoid(np.exp(p.mu * s) * seg, dx=dt, axis=1)
 
 
 def test_ou_series_matches_pointwise():
@@ -99,14 +128,17 @@ def test_ou_series_matches_pointwise():
     times = np.arange(-2.0, 3.0 + dt / 2, dt)
     series = ou_series(path, p, times)
     for k in (0, 17, 50, len(times) - 1):
-        assert np.allclose(series[:, k], ou_vector(path, p, times[k]), atol=1e-13)
+        assert np.allclose(series[:, k], _trapezoid_oracle(path, p, times[k]), atol=1e-13)
+    assert np.array_equal(ou_series(path, p, times[17]), series[:, 17:18])
+    with pytest.raises(WindowExhaustedError):
+        ou_series(path, p, -3.05)
 
 
 def test_ou_stationary_variance_small_sample():
     dt = 0.05
     p = OUParams(2.0, default_s_cut(2.0, dt))
     path = sample_wiener(400, -p.s_cut, 0.0, dt, seed=6)
-    z0 = ou_vector(path, p, 0.0)
+    z0 = ou_series(path, p, 0.0)[:, 0]
     target = 1.0 / (2.0 * p.mu)
     assert np.var(z0) == pytest.approx(target, rel=0.25)
 
@@ -169,17 +201,22 @@ def test_noise_profiles_aggregates():
 def test_noise_field_combination():
     grid = make_grid(20.0, 200)
     profiles = NoiseProfiles((ProfileSpec("x2exp"), ProfileSpec("xexp2")))
-    z = np.array([0.3, -1.2])
-    field = noise_field(profiles, z, grid)
-    expected = 0.3 * profiles.values(grid.nodes)[0] - 1.2 * profiles.values(grid.nodes)[1]
-    assert np.allclose(field.values, expected, atol=1e-14)
-    assert field.values[0] == 0.0
-    lap = laplacian_noise_field(profiles, z, grid)
-    expected2 = (
-        0.3 * profiles.second_derivatives(grid.nodes)[0]
-        - 1.2 * profiles.second_derivatives(grid.nodes)[1]
-    )
-    assert np.allclose(lap.values, expected2, atol=1e-14)
+    g, g2 = profiles.values(grid.nodes), profiles.second_derivatives(grid.nodes)
+    z = np.array([[-0.3, 0.0], [-1.2, 2.0]])  # two components at two times
+    rows = noise_rows(g, z)
+    # same bits as the ordered sum started at zero, signs of zeros included
+    ref = np.zeros((2, grid.nodes.size))
+    for j in range(2):
+        ref += z[j][:, None] * g[j]
+    assert np.array_equal(rows, ref) and np.array_equal(np.signbit(rows), np.signbit(ref))
+    assert np.allclose(rows[0], -0.3 * g[0] - 1.2 * g[1], atol=1e-14)
+    assert np.allclose(rows[1], 2.0 * g[1], atol=1e-14)
+    assert np.all(rows[:, 0] == 0.0)
+    assert np.allclose(noise_rows(g2, z)[0], -0.3 * g2[0] - 1.2 * g2[1], atol=1e-14)
+    # a row depends only on its own column of z, bit for bit
+    assert np.array_equal(noise_rows(g, z[:, 1:])[0], rows[1])
+    with pytest.raises(ParameterError, match="shape"):
+        noise_rows(g, z[:1])
 
 
 def test_sample_requires_valid_window():

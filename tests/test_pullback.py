@@ -23,7 +23,7 @@ from rdslab.pullback import (
     time_one_contraction,
     transient_envelope,
 )
-from rdslab.solver import DelaySolver, SolverConfig
+from rdslab.solver import DelaySolver, SolverConfig, Trajectory, to_u
 
 GRID = make_grid(20.0, 200)
 
@@ -272,6 +272,25 @@ def test_advance_state_continues_the_flow():
     state2 = advance_state(solver, state1, path.shift(1.0), 1.0)
     direct = advance_state(solver, phi, path, 2.0)
     assert np.max(np.abs(state2.values - direct.values)) <= 1e-12
+
+
+def test_conjugation_rows_share_one_ou_window():
+    # With the path finer than the frames, the noise rows subtracted on
+    # [-tau, 0] on entry and the rows to_u adds back there must still come
+    # from one OU window, bit for bit.
+    params = fixedpoint_params()
+    dt, dt_path = 0.01, 0.005
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = sample_wiener(1, -30.0, 1.0, dt_path, seed=14)
+    m = solver.delay_steps
+    subtracted = solver.noise_series(path, dt)[0][: m + 1]
+    zero_v = Trajectory(GRID, params.tau, dt, np.zeros((m + 1, GRID.n_cells + 1)))
+    added = to_u(zero_v, params, path).values
+    assert np.array_equal(subtracted, added)
+    # a zero u-history comes back as exact zeros at t = 0
+    zero_u = Segment.constant(Field.zero(GRID), params.tau, dt)
+    state = advance_state(solver, zero_u, path, params.tau)
+    assert np.max(np.abs(state.values[0])) == 0.0
 
 
 def test_pullback_state_matches_conjugated_route():

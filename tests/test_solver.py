@@ -10,7 +10,7 @@ from rdslab.errors import ParameterError, WindowExhaustedError
 from rdslab.grid import Field, Segment, make_grid, sup_norm
 from rdslab.kernel import DispersalKernel, KernelParams
 from rdslab.model import ModelParams, Nonlinearity, default_profiles
-from rdslab.noise import laplacian_noise_field, noise_field, ou_series, sample_wiener, zero_wiener
+from rdslab.noise import noise_rows, ou_series, sample_wiener, zero_wiener
 from rdslab.semigroup import DirichletHeatSemigroup
 from rdslab.solver import (
     DelaySolver,
@@ -278,6 +278,17 @@ def test_picard_exact_after_enough_sweeps():
     assert report.changes[-1] == 0.0
 
 
+def test_picard_trajectory_equals_steps_bit_for_bit():
+    params = live_params(mu=1.0, epsilon=2.0, tau=0.1, profiles=default_profiles(2))
+    dt = 0.005
+    horizon = np.floor(0.9 * contraction_interval(params) / dt) * dt
+    psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x) * (1 + xi))
+    path = live_path(params, dt, horizon, seed=11)
+    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard")).solve(psi, path, horizon)
+    steps = DelaySolver(GRID, params, SolverConfig(dt)).solve(psi, path, horizon)
+    assert np.array_equal(picard.values, steps.values)
+
+
 # ----------------------------------------------------- conjugation to_u/to_v
 
 
@@ -345,14 +356,15 @@ def test_variation_of_constants_consistency():
     op = DispersalKernel(KernelParams(params.alpha), GRID)
     t_end = params.tau
     z = ou_series(path, solver.ou_params, np.arange(0, int(round(t_end / dr))) * dr - t_end)
+    z_rows = noise_rows(params.profiles.values(GRID.nodes), z)
     acc = flow.operator(t_end) @ psi.frame(psi.n_frames - 1).values
     for j in range(int(round(t_end / dr))):
         r = j * dr
         delayed = Field(GRID, psi_fn(r - t_end, GRID.nodes))
-        zn = noise_field(params.profiles, z[:, j], GRID)
+        zn = Field(GRID, z_rows[j])
         force = evaluate_feedback(params, delayed, zn, kernel=op).values
-        zq = ou_series(path, solver.ou_params, [r])[:, 0]
-        force = force + laplacian_noise_field(params.profiles, zq, GRID).values
+        zq = ou_series(path, solver.ou_params, r)
+        force = force + noise_rows(params.profiles.second_derivatives(GRID.nodes), zq)[0]
         weight = flow.operator(t_end - r) if t_end - r > 0 else np.eye(GRID.nodes.size)
         acc = acc + dr * (weight @ force)
     gap = np.max(np.abs(traj.field_at(t_end).values - acc))
