@@ -169,15 +169,7 @@ def _run_semigroup_bounds(spec: ExperimentSpec) -> ExperimentResult:
     rates = SEMIGROUP_RATES if spec["mu"] == 1.0 else (spec["mu"],)
     flows = {mu: DirichletHeatSemigroup(grid, mu) for mu in rates}
 
-    jobs = [
-        (i, mu, t)
-        for i in range(n_fields)
-        for mu in rates
-        for t in SEMIGROUP_TIMES
-    ]
-
-    def one(job: tuple) -> tuple:
-        i, mu, t = job
+    def one(i: int, mu: float, t: float) -> tuple:
         rng = np.random.default_rng(spec["seed"] + i)
         f = _smooth_random_field(grid, rng)
         report = flows[mu].check_bounds(f, t)
@@ -187,7 +179,7 @@ def _run_semigroup_bounds(spec: ExperimentSpec) -> ExperimentResult:
         cells.append(report.all_ok)
         return tuple(cells)
 
-    rows = [one(job) for job in jobs]
+    rows = [one(i, mu, t) for i in range(n_fields) for mu in rates for t in SEMIGROUP_TIMES]
     n_bad = sum(1 for row in rows if not row[-1])
     checks = (
         CheckResult(
@@ -369,21 +361,14 @@ def _run_cocycle(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.model_params()
     t, s = spec["t"], spec["s"]
     dt_fine = spec["dt"] / 2.0
-    path = sample_wiener(
-        params.m,
-        -(default_s_cut(params.mu, dt_fine) + params.tau + 1.0),
-        t + s,
-        dt_fine,
-        spec["seed"],
-    )
+    window_lo = -(default_s_cut(params.mu, dt_fine) + params.tau + 1.0)
+    path = sample_wiener(params.m, window_lo, t + s, dt_fine, spec["seed"])
     rows = []
-    residuals = []
     for dt in (spec["dt"], dt_fine):
         solver = DelaySolver(grid, params, SolverConfig(dt))
         psi = _initial_segment(grid, params.tau, dt, 1)
-        res = cocycle_residual(solver, psi, path, t, s)
-        rows.append((dt, res))
-        residuals.append(res)
+        rows.append((dt, cocycle_residual(solver, psi, path, t, s)))
+    residuals = [res for _, res in rows]
     checks = (
         CheckResult(
             "cocycle-residual",
@@ -411,8 +396,7 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
     grid = spec.grid()
     params = spec.model_params()
     dt = spec["dt"]
-    cfg = SolverConfig(dt)
-    solver = DelaySolver(grid, params, cfg)
+    solver = DelaySolver(grid, params, SolverConfig(dt))
     t_max = spec["t_max"]
     n_times = 5
     times = [t_max * (k + 1) / n_times for k in range(n_times)]
@@ -434,17 +418,14 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
         consts = derived_constants(params, grid, path, -(t_max + params.tau))
         radius = absorbing_radius(params, consts)
         path_rows = []
-        worst_post = 0.0
-        transient_excess = 0.0
+        worst_post = transient_excess = 0.0
         all_entered = True
         bound_excess = -float("inf")
-        for j, segment in enumerate(segments):
-            initial_co = co_targets[j]
-            runs = [pullback_conjugated(solver, segment, path, t) for t in times]
+        # One batch per depth: the segments share the path and the horizon.
+        by_depth = [pullback_conjugated(solver, segments, path, t) for t in times]
+        for j, (segment, runs) in enumerate(zip(segments, zip(*by_depth))):
             sup_limit = pullback_bound(params, consts, segment)
-            bound_excess = max(
-                bound_excess, max(r.field_sup for r in runs) - sup_limit
-            )
+            bound_excess = max(bound_excess, max(r.field_sup for r in runs) - sup_limit)
             norms = [r.segment_co for r in runs]
             entry = next((k for k, v in enumerate(norms) if v <= radius), None)
             if entry is None:
@@ -453,13 +434,10 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
             else:
                 entry_time = times[entry]
                 for k in range(entry):
-                    envelope = transient_envelope(params, initial_co, times[k])
-                    transient_excess = max(
-                        transient_excess, norms[k] - radius - envelope
-                    )
+                    envelope = transient_envelope(params, co_targets[j], times[k])
+                    transient_excess = max(transient_excess, norms[k] - radius - envelope)
                 worst_post = max(worst_post, max(norms[entry:]))
-            for k, t in enumerate(times):
-                path_rows.append((i, j, t, norms[k], radius, entry_time))
+            path_rows += [(i, j, t, norms[k], radius, entry_time) for k, t in enumerate(times)]
         return path_rows, radius, worst_post, transient_excess, all_entered, bound_excess
 
     results = [one_path(i) for i in range(n_paths)]
@@ -500,8 +478,7 @@ def _run_fixed_point(spec: ExperimentSpec) -> ExperimentResult:
     grid = spec.grid()
     params = spec.model_params()
     dt = spec["dt"]
-    cfg = SolverConfig(dt)
-    solver = DelaySolver(grid, params, cfg)
+    solver = DelaySolver(grid, params, SolverConfig(dt))
     horizon = spec["horizon"]
     window_lo = -(horizon + params.tau + solver.ou_params.s_cut + 2.0)
     path = sample_wiener(params.m, window_lo, 1.0, dt, spec["seed"])
@@ -510,14 +487,8 @@ def _run_fixed_point(spec: ExperimentSpec) -> ExperimentResult:
     report = fixed_point_estimate(solver, phi1, phi2, path, horizon)
 
     bound = params.unit_contraction_factor
-    rows = [
-        (
-            report.times[k],
-            report.pair_distances[k],
-            report.successive_distances[k - 1] if k >= 1 else 0.0,
-        )
-        for k in range(len(report.times))
-    ]
+    succ = (0.0,) + report.successive_distances
+    rows = list(zip(report.times, report.pair_distances, succ))
     pair = report.pair_distances
     tail = pair[len(pair) // 2:]
     monotone = all(tail[k + 1] <= tail[k] + 1e-15 for k in range(len(tail) - 1))
@@ -557,15 +528,8 @@ def _run_convergence_study(spec: ExperimentSpec) -> ExperimentResult:
     horizon = spec["horizon"]
     dt_ref = spec["dt_ref"]
     dts = (spec["dt"], spec["dt"] / 2.0, dt_ref)
-    path = zero_wiener(
-        params.m,
-        -(default_s_cut(params.mu, dt_ref) + params.tau),
-        horizon,
-        dt_ref,
-    )
-    psi_fn = (
-        lambda xi, x: x * np.exp(-x) * (1.0 + 0.5 * np.sin(3.0 * xi))
-    )
+    path = zero_wiener(params.m, -(default_s_cut(params.mu, dt_ref) + params.tau), horizon, dt_ref)
+    psi_fn = lambda xi, x: x * np.exp(-x) * (1.0 + 0.5 * np.sin(3.0 * xi))
     terminals = []
     for dt in dts:
         solver = DelaySolver(grid, params, SolverConfig(dt))

@@ -155,21 +155,28 @@ def compact_open_norm(f: Field, n_max: int | None = None) -> float:
     n_max : int, optional
         Number of series terms kept; defaults to ``ceil(L)``.
     """
+    return float(_co_norms(f.grid, f.values, n_max))
+
+
+def _co_norms(grid: Grid, values: np.ndarray, n_max: int | None) -> np.ndarray:
+    """Compact-open norm of every row of values (last axis = nodes).
+
+    Each row's series is summed in the same n order whatever the number
+    of rows, so a row's norm does not depend on the rows beside it.
+    """
     if n_max is None:
-        n_max = default_n_max(f.grid)
+        n_max = default_n_max(grid)
     if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
         raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
-    absv = np.abs(f.values)
     # Running sup over [0, x_i]; window sup for [0, min(n, L)] is a lookup.
-    prefix = np.maximum.accumulate(absv)
-    grid = f.grid
-    total = 0.0
+    prefix = np.maximum.accumulate(np.abs(values), axis=-1)
+    total = np.zeros(values.shape[:-1])
     for n in range(1, int(n_max) + 1):
         x_hi = min(float(n), grid.length)
         i = min(grid.n_cells, int(math.floor(x_hi / grid.dx + 1e-9)))
-        total += 2.0 ** (-n) * prefix[i]
-    total += 2.0 ** (-int(n_max)) * prefix[-1]
-    return float(total)
+        total += 2.0 ** (-n) * prefix[..., i]
+    total += 2.0 ** (-int(n_max)) * prefix[..., -1]
+    return total
 
 
 @dataclass(frozen=True)
@@ -250,4 +257,4 @@ def segment_sup_norm(s: Segment) -> float:
 
 def segment_co_norm(s: Segment, n_max: int | None = None) -> float:
     """Sup over frames of the truncated compact-open norm."""
-    return max(compact_open_norm(s.frame(k), n_max) for k in range(s.n_frames))
+    return float(np.max(_co_norms(s.grid, s.values, n_max)))

@@ -28,6 +28,7 @@ into the linear r_hat the radius formula consumes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,13 +175,31 @@ def _check_pullback_time(solver: DelaySolver, t: float) -> None:
         )
 
 
+def _terminal_segments(
+    solver: DelaySolver, psi: Segment | Sequence[Segment], path: WienerPath, horizon: float
+) -> list[Segment]:
+    """Terminal segments of one solve, or of one batched solve of a sequence."""
+    if isinstance(psi, Segment):
+        return [solver.solve(psi, path, horizon).terminal_segment]
+    return [traj.terminal_segment for traj in solver.solve_batch(psi, path, horizon)]
+
+
+def _one_or_all(psi: Segment | Sequence[Segment], results: list):
+    return results[0] if isinstance(psi, Segment) else results
+
+
 def pullback_conjugated(
-    solver: DelaySolver, psi: Segment, path: WienerPath, t: float
-) -> PullbackRun:
-    """Pullback run of the conjugated field v from fixed history psi."""
+    solver: DelaySolver, psi: Segment | Sequence[Segment], path: WienerPath, t: float
+) -> PullbackRun | list[PullbackRun]:
+    """Pullback run of the conjugated field v from fixed history psi.
+
+    A sequence of histories is advanced as one batch and gives one run
+    per member, in order.
+    """
     _check_pullback_time(solver, t)
-    traj = solver.solve(psi, path.shift(-t), t)
-    return _run_norms(t, traj.terminal_segment)
+    return _one_or_all(
+        psi, [_run_norms(t, seg) for seg in _terminal_segments(solver, psi, path.shift(-t), t)]
+    )
 
 
 def _conjugate(solver: DelaySolver, phi: Segment, path: WienerPath) -> Segment:
@@ -190,26 +209,42 @@ def _conjugate(solver: DelaySolver, phi: Segment, path: WienerPath) -> Segment:
     return to_v(history, solver.params, path).initial_segment
 
 
+def _reconstruct(
+    solver: DelaySolver, phi: Segment | Sequence[Segment], path: WienerPath, horizon: float
+) -> list[Segment]:
+    """u-segments at the horizon: conjugate on entry, integrate v, and add
+    the noise rows back on the terminal frames only (each row depends on
+    its own time alone, so this equals :func:`to_u` of the whole run)."""
+    if isinstance(phi, Segment):
+        entry = _conjugate(solver, phi, path)
+    else:
+        entry = [_conjugate(solver, p, path) for p in phi]
+    return [
+        to_u(Trajectory(v.grid, v.tau, v.dt, v.values, horizon), solver.params, path).initial_segment
+        for v in _terminal_segments(solver, entry, path, horizon)
+    ]
+
+
 def pullback_state(
-    solver: DelaySolver, phi: Segment, path: WienerPath, t: float
-) -> PullbackRun:
+    solver: DelaySolver, phi: Segment | Sequence[Segment], path: WienerPath, t: float
+) -> PullbackRun | list[PullbackRun]:
     """Pullback run of the original state u from history phi.
 
     Conjugates on entry (subtract the noise field on the initial window
-    of the shifted path), integrates v, and reconstructs u on exit.
+    of the shifted path), integrates v, and reconstructs u on exit.  A
+    sequence of histories is advanced as one batch, one run per member.
     """
     _check_pullback_time(solver, t)
-    shifted = path.shift(-t)
-    traj = solver.solve(_conjugate(solver, phi, shifted), shifted, t)
-    return _run_norms(t, to_u(traj, solver.params, shifted).terminal_segment)
+    return _one_or_all(
+        phi, [_run_norms(t, seg) for seg in _reconstruct(solver, phi, path.shift(-t), t)]
+    )
 
 
 def advance_state(
     solver: DelaySolver, phi: Segment, path: WienerPath, horizon: float
 ) -> Segment:
     """Advance a u-segment by the solution map along the given path."""
-    traj = solver.solve(_conjugate(solver, phi, path), path, horizon)
-    return to_u(traj, solver.params, path).terminal_segment
+    return _reconstruct(solver, phi, path, horizon)[0]
 
 
 # -- structural checks --------------------------------------------------------
@@ -319,8 +354,8 @@ def fixed_point_estimate(
     if count < 3:
         raise ParameterError(f"horizon = {horizon} allows fewer than 3 pullback depths")
     times = step * np.arange(1, count + 1)
-    runs1 = [pullback_state(solver, phi1, path, t) for t in times]
-    runs2 = [pullback_state(solver, phi2, path, t) for t in times]
+    # One batch per depth: both histories share the path and the horizon.
+    runs1, runs2 = zip(*(pullback_state(solver, [phi1, phi2], path, t) for t in times))
     pair = np.array(
         [
             segment_co_norm(

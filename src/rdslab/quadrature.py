@@ -36,6 +36,8 @@ Two interpolation orders are provided and the distinction is load-bearing:
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import erf
@@ -96,10 +98,7 @@ def _local_moments(
     out = []
     for k in range(n):
         acc = np.zeros(np.broadcast_shapes(d.shape, base[0].shape))
-        coef = 1.0
         # binomial expansion of (u + d)^k
-        from math import comb
-
         for m in range(k + 1):
             acc += comb(k, m) * d ** (k - m) * base[m]
         out.append(acc)

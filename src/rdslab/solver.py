@@ -27,6 +27,12 @@ whose nonnegativity makes the sup-norm contraction of the nonlocal term
 exact; its interpolation error enters only through the dt-weighted
 forcing sum and stays O(dx^2) without amplification.
 
+The recursion runs on a (frames, B, nodes) stack: B histories sharing one
+path and horizon advance together, one matrix product per operator per
+step.  A batch of one is exactly the matrix-vector arithmetic above; a
+larger batch may round a member differently in the last bits, so batch
+composition must follow from the config alone, never from scheduling.
+
 Everything downstream leans on two exactness properties of this module:
 restarting from a stored segment reproduces the continued run bit for
 bit (the flow property), and Picard iteration of the same recursion
@@ -37,6 +43,7 @@ because each sweep extends the region of correct delayed values by tau.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +189,11 @@ def picard_gain(params: ModelParams, horizon: float) -> float:
     return params.feedback_lipschitz / params.mu * (1.0 - math.exp(-params.mu * horizon))
 
 
+def _feedback(params: ModelParams, kernel: DispersalKernel, delayed, noise) -> np.ndarray:
+    """eps * Disp[f(delayed + noise)] along the last axis, for any batch shape."""
+    return params.epsilon * kernel.apply_values(params.nonlinearity.value(delayed + noise))
+
+
 def evaluate_feedback(
     params: ModelParams,
     delayed_field: Field,
@@ -196,17 +208,17 @@ def evaluate_feedback(
         raise ParameterError("delayed_field and delayed_noise grids differ")
     if kernel is None:
         kernel = DispersalKernel(params.alpha, delayed_field.grid)
-    arg = delayed_field.values + delayed_noise.values
-    fed = params.nonlinearity.value(arg)
-    return Field(delayed_field.grid, params.epsilon * kernel.apply_values(fed))
+    feedback = _feedback(params, kernel, delayed_field.values, delayed_noise.values)
+    return Field(delayed_field.grid, feedback)
 
 
 class DelaySolver:
     """Precomputed-matrix integrator for one (grid, params, config) triple.
 
-    Matrices are built once and shared read-only by every solve; a single
-    instance may integrate any number of trajectories, including
-    concurrently, since solves write only to their own output arrays.
+    Matrices are built once and shared read-only by every solve.
+    :meth:`_sweep` is the one step kernel, on (frames, B, nodes) stacks;
+    :meth:`solve` is its batch of one.  Batch composition must follow
+    from the config alone (see the module docstring).
     """
 
     def __init__(self, grid: Grid, params: ModelParams, cfg: SolverConfig):
@@ -233,14 +245,17 @@ class DelaySolver:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _check_inputs(self, psi: Segment, path: WienerPath, horizon: float) -> int:
-        if psi.grid != self.grid:
-            raise ParameterError("initial segment grid does not match solver grid")
-        if abs(psi.tau - self.params.tau) > 1e-9 * max(1.0, self.params.tau):
-            raise ParameterError(f"initial segment tau = {psi.tau} differs from model tau")
-        if abs(psi.dt - self.cfg.dt) > 1e-9 * self.cfg.dt:
-            raise ParameterError(f"initial segment dt = {psi.dt} differs from solver dt")
-        psi.require_dirichlet("initial segment")
+    def _frames(self, psis: Sequence[Segment], path: WienerPath, horizon: float) -> np.ndarray:
+        """Check a batch against the solver and the path; return its
+        (frames, B, nodes) stack with the histories on the first m + 1 frames."""
+        for psi in psis:
+            if psi.grid != self.grid:
+                raise ParameterError("initial segment grid does not match solver grid")
+            if abs(psi.tau - self.params.tau) > 1e-9 * max(1.0, self.params.tau):
+                raise ParameterError(f"initial segment tau = {psi.tau} differs from model tau")
+            if abs(psi.dt - self.cfg.dt) > 1e-9 * self.cfg.dt:
+                raise ParameterError(f"initial segment dt = {psi.dt} differs from solver dt")
+            psi.require_dirichlet("initial segment")
         stride = self.cfg.dt / path.dt_knot
         if abs(stride - round(stride)) > 1e-6 or round(stride) < 1:
             raise ParameterError(
@@ -251,7 +266,15 @@ class DelaySolver:
             raise ParameterError(
                 f"horizon = {horizon} must be a positive lattice multiple of dt = {self.cfg.dt}"
             )
-        return int(round(n))
+        m = self.delay_steps
+        out = np.empty((m + int(round(n)) + 1, len(psis), self.grid.n_cells + 1))
+        for b, psi in enumerate(psis):
+            out[: m + 1, b] = psi.values
+        return out
+
+    def _trajectories(self, out: np.ndarray) -> list[Trajectory]:
+        tau, dt = self.params.tau, self.cfg.dt
+        return [Trajectory(self.grid, tau, dt, out[:, b]) for b in range(out.shape[1])]
 
     def noise_series(self, path: WienerPath, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         """Noise field and Laplacian rows at all frame times -tau .. horizon."""
@@ -260,30 +283,39 @@ class DelaySolver:
         z = ou_series(path, self.ou_params, times)
         return noise_rows(self._profile_rows, z), noise_rows(self._laplacian_rows, z)
 
-    def _forcing(self, delayed_values: np.ndarray, delayed_noise_row: np.ndarray,
-                 laplacian_row: np.ndarray) -> np.ndarray:
-        if self.params.epsilon == 0.0 or self.params.nonlinearity.kind == "zero":
-            return laplacian_row
-        fed = self.params.nonlinearity.value(delayed_values + delayed_noise_row)
-        return self.params.epsilon * self.dispersal.apply_values(fed) + laplacian_row
+    def _sweep(self, out: np.ndarray, delayed: np.ndarray, z_rows, q_rows) -> None:
+        """The one step loop: fill out[m+1:] from out[:m+1], reading delayed
+        states from ``delayed`` (``out`` itself, or the previous Picard sweep)."""
+        m, dt = self.delay_steps, self.cfg.dt
+        full, half = self._step_full.T, self._step_half.T
+        if out.shape[1] == 1:  # a lone history steps as vectors: same bits, less overhead
+            out, delayed = out[:, 0], delayed[:, 0]
+        feedback = self.params.epsilon != 0.0 and self.params.nonlinearity.kind != "zero"
+        for k in range(out.shape[0] - m - 1):
+            force = q_rows[k + m]
+            if feedback:
+                force = _feedback(self.params, self.dispersal, delayed[k], z_rows[k]) + force
+            np.matmul(out[k + m], full, out=out[k + m + 1])
+            out[k + m + 1] += dt * (force @ half)
 
     # -- integration --------------------------------------------------------
 
     def solve(self, psi: Segment, path: WienerPath, horizon: float) -> Trajectory:
         """Integrate the configured mode from history psi over the horizon."""
+        return self.solve_batch([psi], path, horizon)[0]
+
+    def solve_batch(
+        self, psis: Sequence[Segment], path: WienerPath, horizon: float
+    ) -> list[Trajectory]:
+        """Advance histories that share one path and horizon as one batch.
+
+        Picard mode solves the members one at a time: each has its own sweeps.
+        """
         if self.cfg.mode == "picard":
-            return self.picard_solve(psi, path, horizon)[0]
-        n_steps = self._check_inputs(psi, path, horizon)
-        m = self.delay_steps
-        z_rows, q_rows = self.noise_series(path, horizon)
-        values = np.empty((m + n_steps + 1, self.grid.n_cells + 1))
-        values[: m + 1] = psi.values
-        for k in range(n_steps):
-            force = self._forcing(values[k], z_rows[k], q_rows[k + m])
-            values[k + m + 1] = self._step_full @ values[k + m] + self.cfg.dt * (
-                self._step_half @ force
-            )
-        return Trajectory(self.grid, self.params.tau, self.cfg.dt, values)
+            return [self.picard_solve(psi, path, horizon)[0] for psi in psis]
+        out = self._frames(psis, path, horizon)
+        self._sweep(out, out, *self.noise_series(path, horizon))
+        return self._trajectories(out)
 
     def picard_solve(
         self, psi: Segment, path: WienerPath, horizon: float
@@ -296,23 +328,17 @@ class DelaySolver:
         growing by tau per sweep, so the iteration terminates with change
         exactly zero after ceil(horizon/tau) + 1 sweeps at the latest.
         """
-        n_steps = self._check_inputs(psi, path, horizon)
         m = self.delay_steps
-        z_rows, q_rows = self.noise_series(path, horizon)
-        cur = np.empty((m + n_steps + 1, self.grid.n_cells + 1))
-        cur[: m + 1] = psi.values
+        cur = self._frames([psi], path, horizon)
         cur[m + 1 :] = psi.values[-1]
+        rows = self.noise_series(path, horizon)
         changes: list[float] = []
         ratios: list[float] = []
         converged = False
         for _ in range(self.cfg.picard_max_iter):
             new = np.empty_like(cur)
             new[: m + 1] = cur[: m + 1]
-            for k in range(n_steps):
-                force = self._forcing(cur[k], z_rows[k], q_rows[k + m])
-                new[k + m + 1] = self._step_full @ new[k + m] + self.cfg.dt * (
-                    self._step_half @ force
-                )
+            self._sweep(new, cur, *rows)
             change = float(np.max(np.abs(new[m + 1 :] - cur[m + 1 :])))
             if changes and changes[-1] > 0.0:
                 ratios.append(change / changes[-1])
@@ -321,9 +347,8 @@ class DelaySolver:
             if change <= self.cfg.picard_tol:
                 converged = True
                 break
-        traj = Trajectory(self.grid, self.params.tau, self.cfg.dt, cur)
         report = PicardReport(len(changes), tuple(changes), tuple(ratios), converged, horizon)
-        return traj, report
+        return self._trajectories(cur)[0], report
 
 
 def _ou_window(mu: float, dt: float) -> OUParams:

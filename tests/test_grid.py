@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,29 @@ def test_segment_norms():
     assert segment_co_norm(seg) == pytest.approx(
         max(compact_open_norm(seg.frame(k)) for k in range(seg.n_frames))
     )
+
+
+def test_segment_co_norm_vectorised_is_bit_identical():
+    # one frame at a time, summed in n order: the reference the
+    # vectorised norm must reproduce exactly, frame by frame
+    def frame_norm(grid, row, n_max):
+        prefix = np.maximum.accumulate(np.abs(row))
+        total = 0.0
+        for n in range(1, n_max + 1):
+            i = min(grid.n_cells, int(math.floor(min(float(n), grid.length) / grid.dx + 1e-9)))
+            total += 2.0 ** (-n) * prefix[i]
+        return float(total + 2.0 ** (-n_max) * prefix[-1])
+
+    rng = np.random.default_rng(21)
+    for length, n_cells, n_max in ((10.0, 100, None), (7.3, 37, 4), (20.0, 200, 30)):
+        grid = make_grid(length, n_cells)
+        depth = default_n_max(grid) if n_max is None else n_max
+        for frames in (2, 6, 11):
+            values = rng.standard_normal((frames, n_cells + 1)) * 10.0 ** rng.uniform(-3, 3, (frames, 1))
+            seg = Segment(grid, 0.1 * (frames - 1), 0.1, values)
+            got = segment_co_norm(seg, n_max)
+            assert got == max(compact_open_norm(seg.frame(k), n_max) for k in range(frames))
+            assert got == max(frame_norm(grid, row, depth) for row in values)
 
 
 def test_segment_validation():

@@ -23,7 +23,7 @@ from rdslab.pullback import (
     time_one_contraction,
     transient_envelope,
 )
-from rdslab.solver import DelaySolver, SolverConfig, Trajectory, to_u
+from rdslab.solver import DelaySolver, SolverConfig, Trajectory, to_u, to_v
 
 GRID = make_grid(20.0, 200)
 
@@ -307,3 +307,49 @@ def test_pullback_state_matches_conjugated_route():
     assert run.segment.values.shape == phi.values.shape
     # Dirichlet boundary survives the conjugation round trip
     assert np.max(np.abs(run.segment.values[:, 0])) == 0.0
+
+
+def test_terminal_reconstruction_equals_full_trajectory_route():
+    # pullback_state and advance_state add the noise back on the terminal
+    # frames only; a noise row depends on its own time alone, so the result
+    # must equal to_u of the whole run bit for bit, alone and in a batch.
+    params = ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.5, profiles=default_profiles(2))
+    dt, t = 0.01, 2.0
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = sample_wiener(2, -30.0, 0.0, 0.005, seed=15)
+    shifted = path.shift(-t)
+    phis = [
+        Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x) * (1 + xi))
+        for a in (1.0, -0.5)
+    ]
+
+    def v_history(phi):
+        return to_v(Trajectory(GRID, phi.tau, phi.dt, phi.values), params, shifted).initial_segment
+
+    def full_u(traj):
+        return to_u(traj, params, shifted).terminal_segment.values
+
+    alone = full_u(solver.solve(v_history(phis[0]), shifted, t))
+    assert np.array_equal(pullback_state(solver, phis[0], path, t).segment.values, alone)
+    assert np.array_equal(advance_state(solver, phis[0], shifted, t).values, alone)
+    batch = solver.solve_batch([v_history(phi) for phi in phis], shifted, t)
+    runs = pullback_state(solver, phis, path, t)
+    for run, traj in zip(runs, batch):
+        assert np.array_equal(run.segment.values, full_u(traj))
+
+
+def test_batched_pullback_runs_match_single_runs():
+    params = absorbing_params()
+    dt = 0.025
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = sample_wiener(1, -40.0, 0.0, dt, seed=16)
+    psis = [
+        Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x))
+        for a in (1.0, 4.0, -2.0)
+    ]
+    runs = pullback_conjugated(solver, psis, path, 2.0)
+    assert [r.pullback_time for r in runs] == [2.0] * 3
+    for run, psi in zip(runs, psis):
+        one = pullback_conjugated(solver, psi, path, 2.0)
+        assert np.max(np.abs(run.segment.values - one.segment.values)) <= 1e-13
+        assert run.segment_co == pytest.approx(one.segment_co, abs=1e-13)

@@ -289,6 +289,44 @@ def test_picard_trajectory_equals_steps_bit_for_bit():
     assert np.array_equal(picard.values, steps.values)
 
 
+# ---------------------------------------------------------------- batching
+
+
+def test_batch_of_one_is_solve_and_batches_rerun_byte_identical():
+    params = live_params(profiles=default_profiles(2))
+    dt, horizon = 0.01, 0.5
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    psis = [
+        Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x) * (1 + xi))
+        for a in (1.0, -2.0, 0.5)
+    ]
+    path = live_path(params, dt, horizon, seed=12)
+    single = [solver.solve(psi, path, horizon) for psi in psis]
+    assert np.array_equal(solver.solve_batch(psis[:1], path, horizon)[0].values, single[0].values)
+    batch = solver.solve_batch(psis, path, horizon)
+    again = solver.solve_batch(psis, path, horizon)
+    for one, member, rerun in zip(single, batch, again):
+        assert np.array_equal(member.values, rerun.values)
+        # the batch sums the same products in another order: last bits only
+        assert np.max(np.abs(member.values - one.values)) <= 1e-13
+    with pytest.raises(ParameterError, match="dt"):
+        other = Segment.from_function(GRID, params.tau, dt / 2, lambda xi, x: 0 * x)
+        solver.solve_batch([psis[0], other], path, horizon)
+
+
+def test_picard_batch_solves_each_member():
+    params = live_params(mu=1.0, epsilon=2.0, tau=0.1)
+    dt, horizon = 0.005, 0.1
+    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard"))
+    psis = [
+        Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x))
+        for a in (1.0, 3.0)
+    ]
+    path = live_path(params, dt, horizon, seed=13)
+    for member, psi in zip(picard.solve_batch(psis, path, horizon), psis):
+        assert np.array_equal(member.values, picard.solve(psi, path, horizon).values)
+
+
 # ----------------------------------------------------- conjugation to_u/to_v
 
 
