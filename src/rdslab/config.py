@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionViolatedError, ParameterError
-from .grid import Grid, make_grid
+from .grid import Grid, lattice_steps, make_grid
 from .model import ModelParams, Nonlinearity, default_profiles
 from .solver import contraction_interval
 
@@ -153,6 +153,8 @@ def _validate_conditions(spec: ExperimentSpec) -> None:
             raise ConditionViolatedError(
                 "fixed-point contraction gate failed: " + params.describe_conditions()
             )
+        # pullback depths 1, 2, ..., horizon: fixed_point_estimate's check at step 1
+        lattice_steps(spec["horizon"], 1.0, "horizon", minimum=3)
     elif name == "absorbing":
         params = spec.model_params()
         if not params.absorbing_condition:
@@ -174,20 +176,12 @@ def _validate_conditions(spec: ExperimentSpec) -> None:
                 f"{spec['horizon_fraction'] * horizon:.6g}"
             )
     if name in ("picard-contraction", "cocycle", "absorbing", "fixed-point", "convergence-study"):
-        params = spec.model_params()
-        steps = params.tau / spec["dt"]
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ParameterError(f"dt = {spec['dt']} does not divide tau = {params.tau}")
+        lattice_steps(spec["tau"], spec["dt"], "tau (in steps of dt)")
     if name == "convergence-study":
-        for label, step in (("dt", spec["dt"]), ("dt/2", spec["dt"] / 2.0)):
-            ratio = spec["tau"] / step
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ParameterError(f"{label} = {step} does not divide tau = {spec['tau']}")
-            ratio = step / spec["dt_ref"]
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or ratio < 2:
-                raise ParameterError(
-                    f"dt_ref = {spec['dt_ref']} must divide {label} = {step} with room to spare"
-                )
+        half = spec["dt"] / 2.0
+        lattice_steps(spec["tau"], half, "tau (in steps of dt/2)")
+        for label, step in (("dt", spec["dt"]), ("dt/2", half)):
+            lattice_steps(step, spec["dt_ref"], f"{label} (in steps of dt_ref)", minimum=2)
 
 
 def parse_config(text: str) -> ExperimentSpec:

@@ -34,10 +34,50 @@ __all__ = [
     "segment_sup_norm",
     "segment_co_norm",
     "default_n_max",
+    "lattice_steps",
 ]
 
-# Relative slop for "this float is on the lattice" checks.
-_LATTICE_RTOL = 1e-9
+# Largest distance, in steps, from a whole number of steps that still
+# counts as on the lattice.
+_LATTICE_TOL = 1e-9
+
+
+def lattice_steps(span, step: float, what: str, minimum: int | None = 0):
+    """Whole number of steps in span: an int for a scalar, int64 for an array.
+
+    This is the one lattice rule of the package: every time, delay,
+    horizon, window end and node coordinate that must sit on a lattice is
+    turned into steps here.  A value is on the lattice when span / step
+    lies within 1e-9 of an integer, measured in steps; ParameterError,
+    naming ``what`` and the first bad value, reports a value that is off
+    the lattice or below ``minimum`` steps (``None``: no lower bound).
+
+    The tolerance is absolute in steps.  It is never looser than the
+    relative, absolute and time-unit forms it replaced, and on an array
+    it is one comparison on the distances already computed, with no
+    per-value scaling pass over the data.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ParameterError(f"{what}: lattice step must be positive and finite, got {step!r}")
+    if np.ndim(span) == 0:
+        value = float(span)
+        k = value / step
+        n = round(k) if math.isfinite(k) else 0
+        if not abs(k - n) <= _LATTICE_TOL:
+            raise ParameterError(f"{what} {value} is off the lattice of step {step}")
+        if minimum is not None and n < minimum:
+            raise ParameterError(f"{what} {value} is below {minimum} steps of {step}")
+        return n
+    x = np.asarray(span, dtype=float)
+    k = x / step
+    n = np.rint(k)
+    ok = np.abs(k - n) <= _LATTICE_TOL
+    if minimum is not None:
+        ok &= n >= minimum
+    if not ok.all():
+        i = int(np.argmin(ok))
+        lattice_steps(x.flat[i], step, what, minimum)  # raises, naming the value
+    return n.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -66,8 +106,8 @@ class Grid:
 
     def index_of(self, x: float) -> int:
         """Node index of a coordinate that must lie on the mesh."""
-        i = int(round(x / self.dx))
-        if i < 0 or i > self.n_cells or abs(i * self.dx - x) > _LATTICE_RTOL * max(1.0, self.length):
+        i = lattice_steps(x, self.dx, "node coordinate x")
+        if i > self.n_cells:
             raise ParameterError(f"x = {x} is not a node of the grid")
         return i
 
@@ -204,11 +244,8 @@ class Segment:
             raise ParameterError(f"tau must be positive, got {self.tau!r}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        m = self.tau / self.dt
-        if abs(m - round(m)) > _LATTICE_RTOL * max(1.0, m):
-            raise ParameterError(f"tau/dt = {m} is not an integer")
         v = np.asarray(self.values, dtype=float)
-        want = (int(round(m)) + 1, self.grid.n_cells + 1)
+        want = (lattice_steps(self.tau, self.dt, "tau") + 1, self.grid.n_cells + 1)
         if v.shape != want:
             raise ParameterError(f"segment values have shape {v.shape}, expected {want}")
         if not np.all(np.isfinite(v)):
@@ -225,11 +262,10 @@ class Segment:
 
     def at(self, xi: float) -> Field:
         """Field at history offset xi in [-tau, 0] (must be on the frame lattice)."""
-        k = (xi + self.tau) / self.dt
-        ki = int(round(k))
-        if ki < 0 or ki >= self.n_frames or abs(k - ki) > 1e-6:
+        k = lattice_steps(xi, self.dt, "history offset xi", minimum=1 - self.n_frames)
+        if k > 0:
             raise ParameterError(f"xi = {xi} is not a frame time of the segment")
-        return self.frame(ki)
+        return self.frame(self.n_frames - 1 + k)
 
     def require_dirichlet(self, what: str = "segment") -> "Segment":
         if np.any(self.values[:, 0] != 0.0):
@@ -238,13 +274,13 @@ class Segment:
 
     @classmethod
     def constant(cls, f: Field, tau: float, dt: float) -> "Segment":
-        m = int(round(tau / dt))
+        m = lattice_steps(tau, dt, "tau")
         return cls(f.grid, tau, dt, np.tile(f.values, (m + 1, 1)))
 
     @classmethod
     def from_function(cls, grid: Grid, tau: float, dt: float, fn) -> "Segment":
         """Sample fn(xi, x) at every frame time and node."""
-        m = int(round(tau / dt))
+        m = lattice_steps(tau, dt, "tau")
         xis = -tau + dt * np.arange(m + 1)
         rows = [np.asarray(fn(xi, grid.nodes), dtype=float) for xi in xis]
         return cls(grid, tau, dt, np.vstack(rows))

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, WindowExhaustedError
+from .grid import lattice_steps
 
 __all__ = [
     "WienerPath",
@@ -102,20 +103,14 @@ class WienerPath:
         first such time.
         """
         t = np.asarray(t, dtype=float)
-        k = t / self.dt_knot
-        ki = np.rint(k)
-        off = np.abs(k - ki) > 1e-6
-        if off.any():
-            bad = float(t.flat[np.argmax(off)])
-            raise ParameterError(f"time {bad} is not on the path lattice (dt = {self.dt_knot})")
-        idx = self.origin + ki.astype(np.int64)
-        outside = (idx < 0) | (idx >= self.base_values.shape[1])
+        idx = self.origin + lattice_steps(t, self.dt_knot, "time", minimum=None)
+        outside = np.logical_or(idx < 0, idx >= self.base_values.shape[1])
         if outside.any():
             bad = float(t.flat[np.argmax(outside)])
             raise WindowExhaustedError(
                 f"time {bad} outside sampled window [{self.t_lo}, {self.t_hi}]"
             )
-        return int(idx) if idx.ndim == 0 else idx
+        return idx
 
     def value(self, t) -> np.ndarray:
         """Path value w(t) - w(0), shape (m,) or (m, len(t)); exact zero at t = 0."""
@@ -143,11 +138,7 @@ def _window_steps(m: int, t_lo: float, t_hi: float, dt_path: float) -> tuple[int
         raise ParameterError(f"dt_path must be positive, got {dt_path!r}")
     if not (t_lo <= 0.0 <= t_hi and t_hi > t_lo):
         raise ParameterError(f"window [{t_lo}, {t_hi}] must contain 0 with t_lo < t_hi")
-    n_neg = -t_lo / dt_path
-    n_pos = t_hi / dt_path
-    if abs(n_neg - round(n_neg)) > 1e-6 or abs(n_pos - round(n_pos)) > 1e-6:
-        raise ParameterError("t_lo and t_hi must be integer multiples of dt_path")
-    return int(round(n_neg)), int(round(n_pos))
+    return -lattice_steps(t_lo, dt_path, "t_lo", minimum=None), lattice_steps(t_hi, dt_path, "t_hi")
 
 
 def sample_wiener(m: int, t_lo: float, t_hi: float, dt_path: float, seed: int) -> WienerPath:
@@ -246,8 +237,8 @@ def sde_residual(path: WienerPath, p: OUParams, t0: float, t1: float) -> float:
     lattice leaves a defect that shrinks O(dt_knot).  Returns the largest
     defect magnitude across components.
     """
-    n0 = int(round(t0 / path.dt_knot))
-    n1 = int(round(t1 / path.dt_knot))
+    n0 = lattice_steps(t0, path.dt_knot, "t0", minimum=None)
+    n1 = lattice_steps(t1, path.dt_knot, "t1", minimum=None)
     if n1 <= n0:
         raise ParameterError(f"empty interval [{t0}, {t1}]")
     t = path.dt_knot * np.arange(n0, n1 + 1)
@@ -268,9 +259,7 @@ def temperedness_diagnostic(
     """
     if not (np.isfinite(beta) and beta > 0):
         raise ParameterError(f"beta must be positive, got {beta!r}")
-    n = int(round(horizon / path.dt_knot))
-    if abs(n * path.dt_knot - horizon) > 1e-6 * max(1.0, abs(horizon)) or n < 0:
-        raise ParameterError("horizon must be a nonnegative lattice multiple of dt_path")
+    n = lattice_steps(horizon, path.dt_knot, "horizon")
     t = path.dt_knot * np.arange(n + 1)
     z = ou_series(path, p, -t)
     return t, np.exp(-beta * t) * np.sum(z * z, axis=0)
@@ -285,8 +274,8 @@ def empirical_decay_bound(
     every lattice t in the window, which is the form the pullback
     estimates consume.
     """
-    n_lo = int(round(t_lo / path.dt_knot))
-    n_hi = int(round(t_hi / path.dt_knot))
+    n_lo = lattice_steps(t_lo, path.dt_knot, "t_lo", minimum=None)
+    n_hi = lattice_steps(t_hi, path.dt_knot, "t_hi", minimum=None)
     if n_hi < n_lo:
         raise ParameterError(f"empty window [{t_lo}, {t_hi}]")
     t = path.dt_knot * np.arange(n_lo, n_hi + 1)

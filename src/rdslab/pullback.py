@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolatedError, ParameterError
-from .grid import Grid, Segment, segment_co_norm, segment_sup_norm, sup_norm
+from .grid import Grid, Segment, lattice_steps, segment_co_norm, segment_sup_norm, sup_norm
 from .model import ModelParams
 from .noise import OUParams, WienerPath, default_s_cut, empirical_decay_bound
 from .solver import DelaySolver, Trajectory, to_u, to_v
@@ -168,11 +168,8 @@ def _run_norms(t: float, seg: Segment) -> PullbackRun:
 
 
 def _check_pullback_time(solver: DelaySolver, t: float) -> None:
-    n = t / solver.cfg.dt
-    if abs(n - round(n)) > 1e-6 or t <= solver.params.tau + 1e-12:
-        raise ParameterError(
-            f"pullback time t = {t} must exceed tau = {solver.params.tau} on the dt lattice"
-        )
+    """t must exceed tau on the dt lattice."""
+    lattice_steps(t, solver.cfg.dt, "pullback time t", minimum=solver.delay_steps + 1)
 
 
 def _terminal_segments(
@@ -262,8 +259,7 @@ def cocycle_residual(
     not an assumed one.
     """
     for name, val in (("t", t), ("s", s)):
-        if val < 0 or abs(val / solver.cfg.dt - round(val / solver.cfg.dt)) > 1e-6:
-            raise ParameterError(f"{name} = {val} must be a nonnegative lattice time")
+        lattice_steps(val, solver.cfg.dt, name)
     if t == 0.0 or s == 0.0:
         return 0.0
     direct = solver.solve(psi, path, s + t).terminal_segment
@@ -347,12 +343,8 @@ def fixed_point_estimate(
             "stationary-state convergence not guaranteed: "
             + solver.params.describe_conditions()
         )
-    n = step / solver.cfg.dt
-    if abs(n - round(n)) > 1e-6 or step <= solver.params.tau:
-        raise ParameterError(f"step = {step} must exceed tau and sit on the dt lattice")
-    count = int(round(horizon / step))
-    if count < 3:
-        raise ParameterError(f"horizon = {horizon} allows fewer than 3 pullback depths")
+    lattice_steps(step, solver.cfg.dt, "step", minimum=solver.delay_steps + 1)
+    count = lattice_steps(horizon, step, "horizon", minimum=3)
     times = step * np.arange(1, count + 1)
     # One batch per depth: both histories share the path and the horizon.
     runs1, runs2 = zip(*(pullback_state(solver, [phi1, phi2], path, t) for t in times))

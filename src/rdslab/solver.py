@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Field, Grid, Segment
+from .grid import Field, Grid, Segment, lattice_steps
 from .kernel import DispersalKernel
 from .model import ModelParams
 from .noise import OUParams, WienerPath, default_s_cut, noise_rows, ou_series
@@ -104,18 +104,16 @@ class Trajectory:
     dt: float
     values: np.ndarray
     t0: float = 0.0
+    history_frames: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        m = int(round(self.tau / self.dt))
+        m = lattice_steps(self.tau, self.dt, "trajectory tau")
         if v.ndim != 2 or v.shape[0] < m + 1 or v.shape[1] != self.grid.n_cells + 1:
             raise ParameterError(f"trajectory values have invalid shape {v.shape}")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "history_frames", m)
         v.setflags(write=False)
-
-    @property
-    def history_frames(self) -> int:
-        return int(round(self.tau / self.dt))
 
     @property
     def t_end(self) -> float:
@@ -126,11 +124,11 @@ class Trajectory:
         return self.t0 + self.dt * (np.arange(self.values.shape[0]) - m)
 
     def frame_index(self, t: float) -> int:
-        k = (t - self.t0 + self.tau) / self.dt
-        ki = int(round(k))
-        if abs(k - ki) > 1e-6 or ki < 0 or ki >= self.values.shape[0]:
+        m = self.history_frames
+        k = m + lattice_steps(t - self.t0, self.dt, "time after t0", minimum=-m)
+        if k >= self.values.shape[0]:
             raise ParameterError(f"t = {t} is not a frame time of the trajectory")
-        return ki
+        return k
 
     def field_at(self, t: float) -> Field:
         return Field(self.grid, self.values[self.frame_index(t)])
@@ -225,10 +223,7 @@ class DelaySolver:
         self.grid = grid
         self.params = params
         self.cfg = cfg
-        steps = params.tau / cfg.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-            raise ParameterError(f"dt = {cfg.dt} does not divide tau = {params.tau} evenly")
-        self.delay_steps = int(round(steps))
+        self.delay_steps = lattice_steps(params.tau, cfg.dt, "tau (in steps of dt)", minimum=1)
         if cfg.mode == "picard":
             upper = contraction_interval(params)
             if upper is not None and cfg.dt >= upper:
@@ -256,18 +251,10 @@ class DelaySolver:
             if abs(psi.dt - self.cfg.dt) > 1e-9 * self.cfg.dt:
                 raise ParameterError(f"initial segment dt = {psi.dt} differs from solver dt")
             psi.require_dirichlet("initial segment")
-        stride = self.cfg.dt / path.dt_knot
-        if abs(stride - round(stride)) > 1e-6 or round(stride) < 1:
-            raise ParameterError(
-                f"solver dt = {self.cfg.dt} is not a multiple of the path lattice {path.dt_knot}"
-            )
-        n = horizon / self.cfg.dt
-        if not np.isfinite(horizon) or n < 1.0 - 1e-9 or abs(n - round(n)) > 1e-6:
-            raise ParameterError(
-                f"horizon = {horizon} must be a positive lattice multiple of dt = {self.cfg.dt}"
-            )
+        lattice_steps(self.cfg.dt, path.dt_knot, "solver dt (in path steps)", minimum=1)
+        n = lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
         m = self.delay_steps
-        out = np.empty((m + int(round(n)) + 1, len(psis), self.grid.n_cells + 1))
+        out = np.empty((m + n + 1, len(psis), self.grid.n_cells + 1))
         for b, psi in enumerate(psis):
             out[: m + 1, b] = psi.values
         return out
@@ -278,7 +265,7 @@ class DelaySolver:
 
     def noise_series(self, path: WienerPath, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         """Noise field and Laplacian rows at all frame times -tau .. horizon."""
-        m, n_steps = self.delay_steps, int(round(horizon / self.cfg.dt))
+        m, n_steps = self.delay_steps, lattice_steps(horizon, self.cfg.dt, "horizon")
         times = self.cfg.dt * (np.arange(m + n_steps + 1) - m)
         z = ou_series(path, self.ou_params, times)
         return noise_rows(self._profile_rows, z), noise_rows(self._laplacian_rows, z)

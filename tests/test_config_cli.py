@@ -155,6 +155,17 @@ def test_cli_validate_condition_violation(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+def test_fixed_point_horizon_off_the_step_lattice_is_rejected(tmp_path, capsys):
+    for horizon in ("3.6", "3.4"):
+        text = f"experiment = fixed-point\nseed = 1\nhorizon = {horizon}\n"
+        with pytest.raises(ParameterError, match=f"horizon {horizon} is off the lattice"):
+            parse_config(text)
+        cfg = _write(tmp_path, "fp.cfg", text)
+        assert main(["validate", "--config", cfg]) == 2
+        assert f"horizon {horizon}" in capsys.readouterr().err
+    assert parse_config("experiment = fixed-point\nseed = 1\nhorizon = 4\n")["horizon"] == 4.0
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -150,6 +150,24 @@ def test_sde_residual_much_smaller_than_dt():
     assert sde_residual(path, p, -4.0, 0.0) <= dt
 
 
+def test_window_ends_off_the_lattice_are_rejected_not_rounded():
+    dt = 0.1
+    p = OUParams(1.0, default_s_cut(1.0, dt))
+    path = sample_wiener(1, -p.s_cut - 2.0, 0.0, dt, seed=9)
+    assert empirical_decay_bound(path, p, -0.6) > 0.0
+    assert sde_residual(path, p, -0.6, 0.0) >= 0.0
+    with pytest.raises(ParameterError, match="t_lo -0.55 "):
+        empirical_decay_bound(path, p, -0.55)
+    with pytest.raises(ParameterError, match="t_hi -0.05 "):
+        empirical_decay_bound(path, p, -0.6, -0.05)
+    with pytest.raises(ParameterError, match="t0 -0.55 "):
+        sde_residual(path, p, -0.55, 0.0)
+    with pytest.raises(ParameterError, match="t1 -0.15 "):
+        sde_residual(path, p, -0.6, -0.15)
+    with pytest.raises(ParameterError, match="horizon 1.05 "):
+        temperedness_diagnostic(path, p, 0.1, 1.05)
+
+
 def test_temperedness_diagnostic_decays():
     dt = 0.1
     p = OUParams(1.0, default_s_cut(1.0, dt))

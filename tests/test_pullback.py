@@ -262,6 +262,24 @@ def test_fixed_point_estimate_gates_on_condition():
     assert not report.condition_ok
 
 
+def test_fixed_point_horizon_must_be_a_whole_number_of_steps():
+    params = fixedpoint_params()
+    dt = 0.01
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = sample_wiener(1, -10.0, 1.0, dt, seed=12)
+    phi = Segment.constant(Field.zero(GRID), params.tau, dt)
+    # 3.6 used to run depths up to 4.0, past the horizon; 3.4 stopped at 3.0
+    for horizon in (3.6, 3.4):
+        with pytest.raises(ParameterError, match=f"horizon {horizon} is off the lattice of step 1.0"):
+            fixed_point_estimate(solver, phi, phi, path, horizon)
+    with pytest.raises(ParameterError, match="horizon 2.0 is below 3 steps"):
+        fixed_point_estimate(solver, phi, phi, path, 2.0)
+    with pytest.raises(ParameterError, match="step 0.505 "):
+        fixed_point_estimate(solver, phi, phi, path, 3.03, step=0.505)
+    with pytest.raises(ParameterError, match="step 0.5 is below 51 steps"):
+        fixed_point_estimate(solver, phi, phi, path, 3.0, step=0.5)
+
+
 def test_advance_state_continues_the_flow():
     params = fixedpoint_params()
     dt = 0.01

@@ -15,6 +15,7 @@ from rdslab.semigroup import DirichletHeatSemigroup
 from rdslab.solver import (
     DelaySolver,
     SolverConfig,
+    Trajectory,
     contraction_interval,
     evaluate_feedback,
     picard_gain,
@@ -233,6 +234,21 @@ def test_trajectory_indexing_contracts():
     assert times[-1] == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         traj.field_at(0.505)
+
+
+def test_trajectory_requires_whole_history_frames_like_segment():
+    grid = make_grid(1.0, 10)
+    with pytest.raises(ParameterError, match="tau"):
+        Segment(grid, 0.1, 0.03, np.zeros((4, 11)))
+    with pytest.raises(ParameterError, match="tau"):
+        Trajectory(grid, 0.1, 0.03, np.zeros((4, 11)))
+    traj = Trajectory(grid, 0.1, 0.025, np.zeros((7, 11)), t0=1.0)
+    assert traj.history_frames == 4 and traj.t_end == pytest.approx(1.05)
+    assert traj.frame_index(0.9) == 0 and traj.frame_index(1.05) == 6
+    with pytest.raises(ParameterError, match="time after t0"):
+        traj.frame_index(0.875)  # before the history
+    with pytest.raises(ParameterError, match="frame time"):
+        traj.frame_index(1.075)  # past the end
 
 
 def test_all_frames_dirichlet():
