@@ -32,6 +32,28 @@ Two interpolation orders are provided and the distinction is load-bearing:
     is asserted (semigroup composition law, closed-form reproduction).
     Splines can overshoot rough data by a Lebesgue-type factor, which
     would break supremum-sharp inequalities, hence the linear path above.
+
+Assembly uses the lattice.  The nodes must be uniform and every output
+point a whole number p_i of steps from ``in_nodes[0]`` (both checked by
+:func:`rdslab.grid.lattice_steps`, so ParameterError names the value
+off the lattice).  A cell then sits (n - p_i) dx from the centre of the
+direct term ``G_a(x - y)`` and 2 in_nodes[0] + (n + p_i) dx from that of
+the image term ``G_a(x + y)``.  Each term's moments are evaluated once
+per offset, O(N) special-function values, combined into node weights,
+and gathered as windows of that table: Toeplitz for the direct term,
+Hankel for the image.  At x = 0 both read the same entries, so that row
+is exactly 0.  The spline's second derivatives at the interior nodes are
+A^{-1} R f (A the tridiagonal spline system, R the second difference);
+their weights G enter as (A^{-1} G^T)^T R, one banded solve with the
+output rows as right-hand sides, so no step costs more than O(N^2).
+
+Accuracy.  A cell's Gaussian mass comes from the tail the cell lies in,
+so far cells keep their relative accuracy and linear image-pair matrices
+have no negative entries.  The moments of (y - left)^k are a binomial
+expansion about the kernel centre, ill-conditioned in the cell offset:
+at L = 20, N = 800 the relative error against a 40-digit assembly is
+6e-14 / 3e-12 / 2e-11 (linear) and 4e-11 / 5e-8 / 1.4e-6 (spline) at
+a = 0.04 / 1 / 5.
 """
 
 from __future__ import annotations
@@ -39,14 +61,15 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .errors import ParameterError
+from .grid import lattice_steps
 
-__all__ = ["operator_matrix", "gaussian_pdf", "gaussian_cdf"]
+__all__ = ["operator_matrix", "gaussian_pdf"]
 
-_SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -54,12 +77,8 @@ def gaussian_pdf(u: np.ndarray, sigma: float) -> np.ndarray:
     return _INV_SQRT_2PI / sigma * np.exp(-(u * u) / (2.0 * sigma * sigma))
 
 
-def gaussian_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(z / _SQRT2))
-
-
-def _interval_moments(sigma: float, a: np.ndarray, b: np.ndarray, n: int) -> list[np.ndarray]:
-    """Moments I_k = int_a^b u^k N(0, sigma^2)(u) du for k < n.
+def _interval_moments(sigma: float, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """Moments I_k = int_a^b u^k N(0, sigma^2)(u) du for k < 4.
 
     Closed forms; recurrence I_k = sigma^2 (a^{k-1} pdf(a) - b^{k-1} pdf(b))
     + (k-1) sigma^2 I_{k-2}.
@@ -67,73 +86,52 @@ def _interval_moments(sigma: float, a: np.ndarray, b: np.ndarray, n: int) -> lis
     pa = gaussian_pdf(a, sigma)
     pb = gaussian_pdf(b, sigma)
     s2 = sigma * sigma
-    out = [gaussian_cdf(b / sigma) - gaussian_cdf(a / sigma)]
-    if n > 1:
-        out.append(s2 * (pa - pb))
-    if n > 2:
-        out.append(s2 * out[0] + s2 * (a * pa - b * pb))
-    if n > 3:
-        out.append(s2 * (a * a * pa - b * b * pb) + 2.0 * s2 * out[1])
-    if n > 4:
-        raise ParameterError("moment order > 4 not implemented")
-    return out
+    # the mass from the tail the interval lies in, so a far interval keeps
+    # its relative accuracy instead of the 1e-16 left over from 1 - 1
+    za, zb = a / sigma, b / sigma
+    i0 = np.where(za + zb > 0, ndtr(-za) - ndtr(-zb), ndtr(zb) - ndtr(za))
+    i1 = s2 * (pa - pb)
+    i2 = s2 * i0 + s2 * (a * pa - b * pb)
+    return [i0, i1, i2, s2 * (a * a * pa - b * b * pb) + 2.0 * s2 * i1]
 
 
-def _local_moments(
-    x: np.ndarray, left: np.ndarray, right: np.ndarray, a: float, sign: float, n: int
-) -> list[np.ndarray]:
-    """Moments of (y - left)^k against G_a(x - sign*y) over [left, right].
+def _cell_weights(edges: np.ndarray, dx: float, sigma: float) -> list[np.ndarray]:
+    """Per-cell weight tables for the cells [edges[k], edges[k + 1]].
 
-    Shapes broadcast: ``x`` is a column of output points, ``left``/``right``
-    a row of interval ends.  Returns n arrays of shape (len(x), n_intervals).
+    ``edges`` are consecutive lattice points measured from the kernel
+    centre.  Returns the weights each cell gives its left and right node
+    under linear interpolation, then the weights it gives the spline
+    second derivatives there, divided by dx.
     """
-    sigma = np.sqrt(2.0 * a)
-    if sign > 0:
-        # u = y - x in [left - x, right - x]; y - left = u + (x - left)
-        lo, hi, d = left - x, right - x, x - left
-    else:
-        # kernel G_a(x + y): u = y + x; y - left = u - (x + left)
-        lo, hi, d = left + x, right + x, -(x + left)
-    base = _interval_moments(sigma, lo, hi, n)
-    out = []
-    for k in range(n):
-        acc = np.zeros(np.broadcast_shapes(d.shape, base[0].shape))
-        # binomial expansion of (u + d)^k
-        for m in range(k + 1):
-            acc += comb(k, m) * d ** (k - m) * base[m]
-        out.append(acc)
-    return out
+    lo = edges[:-1]
+    base = _interval_moments(sigma, lo, edges[1:])
+    # moments of (y - left)^k: binomial expansion of (u - lo)^k
+    m = [sum(comb(k, j) * (-lo) ** (k - j) * base[j] for j in range(k + 1)) for k in range(4)]
+    return [
+        m[0] - m[1] / dx,
+        m[1] / dx,
+        -m[1] / 3.0 + m[2] / (2.0 * dx) - m[3] / (6.0 * dx * dx),
+        -m[1] / 6.0 + m[3] / (6.0 * dx * dx),
+    ]
 
 
-def _pair_moments(x: np.ndarray, left: np.ndarray, right: np.ndarray, a: float, kind: str, n: int):
-    direct = _local_moments(x, left, right, a, +1.0, n)
-    if kind == "free":
-        return direct
-    image = _local_moments(x, left, right, a, -1.0, n)
-    return [d - i for d, i in zip(direct, image)]
+def _term(origin, first, starts, n_nodes, dx, sigma, spline):
+    """Weights of one Gaussian term whose argument at node n of row i is
+    origin + (first + starts[i] + n) dx.
 
-
-def _natural_spline_second_derivative_map(n_nodes: int, dx: float) -> np.ndarray:
-    """Dense map from node samples to spline second derivatives at nodes.
-
-    Natural end conditions: rows 0 and n-1 are zero.
+    Each row is a window of one table over the offsets, so the result is
+    Toeplitz (starts falling with the row) or Hankel (rising).  Returns
+    the linear weights (rows, n_nodes) and, for the spline, the curvature
+    weights of the interior nodes (rows, n_nodes - 2).
     """
-    if n_nodes < 3:
-        return np.zeros((n_nodes, n_nodes))
-    n_int = n_nodes - 2
-    ab = np.zeros((3, n_int))
-    ab[0, 1:] = dx / 6.0
-    ab[1, :] = 2.0 * dx / 3.0
-    ab[2, :-1] = dx / 6.0
-    rhs = np.zeros((n_int, n_nodes))
-    idx = np.arange(n_int)
-    rhs[idx, idx] = 1.0 / dx
-    rhs[idx, idx + 1] = -2.0 / dx
-    rhs[idx, idx + 2] = 1.0 / dx
-    interior = solve_banded((1, 1), ab, rhs)
-    full = np.zeros((n_nodes, n_nodes))
-    full[1:-1, :] = interior
-    return full
+    offsets = np.arange(first - 1, first + int(starts.max(initial=0)) + n_nodes + 1)
+    left, right, c0, c1 = _cell_weights(origin + offsets * dx, dx, sigma)
+    w = sliding_window_view(left[1:] + right[:-1], n_nodes)[starts]
+    w[:, 0] = left[starts + 1]  # the end nodes have one cell each
+    w[:, -1] = right[starts + n_nodes - 1]
+    if not spline:
+        return w, None
+    return w, sliding_window_view(c0[1:] + c1[:-1], n_nodes - 2)[starts + 1]
 
 
 def operator_matrix(
@@ -148,7 +146,8 @@ def operator_matrix(
     Parameters
     ----------
     out_x : array
-        Points where the result is evaluated.
+        Points where the result is evaluated; each must lie a whole number
+        of node spacings from ``in_nodes[0]``.
     in_nodes : array
         Uniform nodes carrying the input samples; integration runs over
         ``[in_nodes[0], in_nodes[-1]]``.
@@ -169,41 +168,40 @@ def operator_matrix(
         raise ParameterError(f"unknown kernel kind {kind!r}")
     if order not in ("linear", "spline"):
         raise ParameterError(f"unknown interpolation order {order!r}")
-    nodes = np.asarray(in_nodes, dtype=float)
-    x = np.asarray(out_x, dtype=float).reshape(-1, 1)
+    nodes = np.asarray(in_nodes, dtype=float).reshape(-1)
     n_nodes = nodes.size
     if n_nodes < 2:
         raise ParameterError("need at least two input nodes")
-    steps = np.diff(nodes)
-    dx = steps[0]
-    if not np.allclose(steps, dx, rtol=1e-9, atol=0.0):
-        raise ParameterError("input nodes must be uniformly spaced")
+    dx = (nodes[-1] - nodes[0]) / (n_nodes - 1)
+    bad = lattice_steps(nodes - nodes[0], dx, "offset of input node") != np.arange(n_nodes)
+    if bad.any():
+        node = nodes[np.argmax(bad)]
+        raise ParameterError(f"input nodes must be uniformly spaced, node {node} is not")
+    x = np.asarray(out_x, dtype=float).reshape(-1)
+    p = lattice_steps(x - nodes[0], dx, "offset of output point", minimum=None)
+    spline = order == "spline" and n_nodes > 2
+    sigma = np.sqrt(2.0 * a)
 
-    left = nodes[:-1][None, :]
-    right = nodes[1:][None, :]
-    n_mom = 2 if order == "linear" else 4
-    mom = _pair_moments(x, left, right, a, kind, n_mom)
-
-    n_out = x.shape[0]
-    w = np.zeros((n_out, n_nodes))
-    if order == "linear":
-        # p(y) = f_j + (f_{j+1} - f_j) (y - y_j) / dx on each cell
-        w[:, :-1] += mom[0] - mom[1] / dx
-        w[:, 1:] += mom[1] / dx
+    # direct term G_a(x - y): argument (n - p_i) dx, a Toeplitz matrix
+    hi = int(p.max(initial=0))
+    w, g = _term(0.0, -hi, hi - p, n_nodes, dx, sigma, spline)
+    if kind == "image_pair":
+        # image term G_a(x + y): argument 2 in_nodes[0] + (n + p_i) dx, a Hankel matrix
+        lo = int(p.min(initial=0))
+        w_img, g_img = _term(2.0 * nodes[0], lo, p - lo, n_nodes, dx, sigma, spline)
+        w -= w_img
+        if spline:
+            g -= g_img
+    if not spline:
         return w
 
-    t2 = _natural_spline_second_derivative_map(n_nodes, dx)
-    # cell coefficients as linear maps of the samples
-    p_b = np.zeros((n_nodes - 1, n_nodes))
-    idx = np.arange(n_nodes - 1)
-    p_b[idx, idx] = -1.0 / dx
-    p_b[idx, idx + 1] = 1.0 / dx
-    p_b -= (dx / 6.0) * (2.0 * t2[:-1, :] + t2[1:, :])
-    p_c = t2[:-1, :] / 2.0
-    p_d = (t2[1:, :] - t2[:-1, :]) / (6.0 * dx)
-
-    w[:, :-1] += mom[0]
-    w += mom[1] @ p_b
-    w += mom[2] @ p_c
-    w += mom[3] @ p_d
+    # spline second derivatives at the interior nodes are A^{-1} R f, with
+    # A the natural-spline tridiagonal system and R the second difference
+    # over dx (its 1/dx already sits in g): add (A^{-1} g^T)^T R
+    ab = np.empty((3, n_nodes - 2))
+    ab[0], ab[1], ab[2] = dx / 6.0, 2.0 * dx / 3.0, dx / 6.0
+    h = solve_banded((1, 1), ab, g.T, overwrite_b=True, check_finite=False).T
+    w[:, :-2] += h
+    w[:, 1:-1] -= 2.0 * h
+    w[:, 2:] += h
     return w

@@ -59,14 +59,15 @@ def test_exact_mass_identity():
 
 
 def test_matrix_nonnegative_rows_below_one():
-    grid = make_grid(20.0, 200)
-    for alpha in (0.25, 1.0, 4.0):
-        op = DispersalKernel(KernelParams(alpha), grid)
-        # entries are differences of Gaussian interval moments; rounding
-        # can leave dust of order 1e-14 below zero
-        assert np.all(op.matrix >= -1e-13)
-        assert np.max(op.row_mass()) <= 1.0 + 1e-12
-        assert np.all(op.matrix[0] == 0.0)
+    for n_cells in (200, 800):
+        grid = make_grid(20.0, n_cells)
+        for alpha in (0.25, 1.0, 4.0):
+            op = DispersalKernel(KernelParams(alpha), grid)
+            # entries are differences of Gaussian interval moments; rounding
+            # can leave dust of order 1e-14 below zero
+            assert np.all(op.matrix >= -1e-13)
+            assert np.max(op.row_mass()) <= 1.0 + 1e-12
+            assert np.all(op.matrix[0] == 0.0)
 
 
 def test_sup_norm_never_amplified():
