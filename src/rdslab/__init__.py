@@ -19,7 +19,7 @@ Layout
 grid        spatial lattice, fields, history segments, norms
 quadrature  product-integration matrices for Gaussian kernels
 kernel      nonlocal dispersal operator (image-pair Gaussian kernel)
-semigroup   Dirichlet heat propagator with killing, bound checks
+semigroup   Dirichlet heat propagator with killing, bound measurements
 noise       two-sided Wiener paths, stationary OU fields, temperedness
 model       model parameters, nonlinearities, noise profiles
 solver      delayed mild-solution stepper (method of steps / Picard)
@@ -47,7 +47,7 @@ from .grid import (
     segment_sup_norm,
     sup_norm,
 )
-from .kernel import DispersalKernel, KernelParams, apply_dispersal, kernel_value, tail_mass
+from .kernel import DispersalKernel, KernelParams, kernel_value, tail_mass
 from .model import ModelParams, Nonlinearity, default_profiles
 from .noise import (
     NoiseProfiles,
@@ -70,7 +70,7 @@ from .pullback import (
     pullback_state,
     time_one_contraction,
 )
-from .semigroup import DirichletHeatSemigroup, check_semigroup_bounds
+from .semigroup import DirichletHeatSemigroup
 from .solver import (
     DelaySolver,
     SolverConfig,
@@ -99,7 +99,6 @@ __all__ = [
     "sup_norm",
     "DispersalKernel",
     "KernelParams",
-    "apply_dispersal",
     "kernel_value",
     "tail_mass",
     "ModelParams",
@@ -123,7 +122,6 @@ __all__ = [
     "pullback_state",
     "time_one_contraction",
     "DirichletHeatSemigroup",
-    "check_semigroup_bounds",
     "DelaySolver",
     "SolverConfig",
     "Trajectory",

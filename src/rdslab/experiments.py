@@ -3,7 +3,9 @@
 Each runner takes a validated ExperimentSpec and returns an
 ExperimentResult holding the CSV rows (fixed order, 17-significant-digit
 rendering, so identical spec + seed gives byte-identical output) and a
-list of named pass/fail checks, one per asserted invariant.
+list of named checks, one per asserted invariant.  A check is a
+measured number and the closed interval it must lie in; its verdict and
+its text are both derived from those numbers.
 
 Monte Carlo samples carry their own derived seeds (base seed + sample
 index), so each sample's output does not depend on the order in which
@@ -51,11 +53,36 @@ SEMIGROUP_RATES = (0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One asserted invariant: name, verdict, human-readable detail."""
+    """One asserted invariant: ``lo <= measured <= hi``.
+
+    A one-sided check sets the other end to -inf or +inf; an exact
+    identity sets lo = hi.  NaN fails every check.  ``note`` says what
+    was measured.
+    """
 
     name: str
-    passed: bool
-    detail: str
+    measured: float
+    lo: float
+    hi: float
+    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.lo <= self.measured <= self.hi)
+
+    @property
+    def detail(self) -> str:
+        # bounds get more digits, so an offset such as 1 + 1e-8 stays visible
+        if self.lo == self.hi:
+            relation = f"== {self.hi:.9g}"
+        elif self.lo == -np.inf:
+            relation = f"<= {self.hi:.9g}"
+        elif self.hi == np.inf:
+            relation = f">= {self.lo:.9g}"
+        else:
+            relation = f"in [{self.lo:.9g}, {self.hi:.9g}]"
+        text = f"{self.measured:.6g} {relation}"
+        return f"{text} ({self.note})" if self.note else text
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -126,16 +153,10 @@ def _run_kernel_bound(spec: ExperimentSpec) -> ExperimentResult:
     leak = tail_mass(params, grid)
 
     checks = (
-        CheckResult(
-            "kernel-sup-ratio",
-            max_ratio <= 1.0 + 1e-8,
-            f"max ratio {max_ratio:.12g} <= 1 + 1e-8 over {trials} fields",
-        ),
-        CheckResult(
-            "kernel-unit-erf",
-            erf_err <= 1e-6,
-            f"sup error {erf_err:.3e} <= 1e-6 on x <= L/2 (edge leak {leak:.3e})",
-        ),
+        CheckResult("kernel-sup-ratio", max_ratio, -np.inf, 1.0 + 1e-8,
+                    f"max sup ratio over {trials} fields"),
+        CheckResult("kernel-unit-erf", erf_err, -np.inf, 1e-6,
+                    f"sup error against erf on x <= L/2, edge leak {leak:.3e}"),
     )
     return ExperimentResult(
         spec.experiment,
@@ -168,26 +189,23 @@ def _run_semigroup_bounds(spec: ExperimentSpec) -> ExperimentResult:
     # non-default mu probes that single rate instead.
     rates = SEMIGROUP_RATES if spec["mu"] == 1.0 else (spec["mu"],)
     flows = {mu: DirichletHeatSemigroup(grid, mu) for mu in rates}
+    slack = max(1e-6, grid.dx ** 2)
 
     def one(i: int, mu: float, t: float) -> tuple:
         rng = np.random.default_rng(spec["seed"] + i)
         f = _smooth_random_field(grid, rng)
-        report = flows[mu].check_bounds(f, t)
-        cells = [i, mu, t]
-        for check in report.checks:
-            cells.extend([check.measured, check.bound])
-        cells.append(report.all_ok)
-        return tuple(cells)
+        pairs = flows[mu].check_bounds(f, t).values()
+        ok = all(measured <= bound + slack for measured, bound in pairs)
+        return (i, mu, t, *(x for pair in pairs for x in pair), ok)
 
     rows = [one(i, mu, t) for i in range(n_fields) for mu in rates for t in SEMIGROUP_TIMES]
-    n_bad = sum(1 for row in rows if not row[-1])
+    # measured / (bound + slack) <= 1 exactly when measured <= bound + slack
+    table = np.array([row[3:11] for row in rows]).reshape(len(rows), 4, 2)
+    worst = float(np.max(table[..., 0] / (table[..., 1] + slack)))
     checks = (
-        CheckResult(
-            "semigroup-bounds",
-            n_bad == 0,
-            f"{len(rows) - n_bad}/{len(rows)} (field, mu, t) cases satisfy all four "
-            f"bounds with slack max(1e-6, dx^2)",
-        ),
+        CheckResult("semigroup-bounds", worst, -np.inf, 1.0,
+                    f"worst measured / (bound + max(1e-6, dx^2)) over {len(rows)} "
+                    f"(field, mu, t) cases and all four bounds"),
     )
     header = (
         "field", "mu", "t",
@@ -231,26 +249,14 @@ def _run_ou_stats(spec: ExperimentSpec) -> ExperimentResult:
     residual = sde_residual(probe, p, -5.0, 0.0)
 
     checks = (
-        CheckResult(
-            "ou-variance",
-            abs(var - target) <= 0.05 * target,
-            f"sample variance {var:.6g} within 5% of 1/(2 mu) = {target:.6g}",
-        ),
-        CheckResult(
-            "ou-mean",
-            abs(mean) <= 4.0 * sem,
-            f"sample mean {mean:.3e} within 4 standard errors ({sem:.3e})",
-        ),
-        CheckResult(
-            "ou-shift-identity",
-            shift_gap == 0.0,
-            f"lattice shift identity holds bit-exactly (gap {shift_gap:.3e})",
-        ),
-        CheckResult(
-            "ou-sde-residual",
-            residual <= dt_path,
-            f"integrated-equation residual {residual:.3e} <= dt_path = {dt_path}",
-        ),
+        CheckResult("ou-variance", abs(var - target), -np.inf, 0.05 * target,
+                    f"|sample variance {var:.6g} - 1/(2 mu)|, bound 5% of 1/(2 mu)"),
+        CheckResult("ou-mean", abs(mean), -np.inf, 4.0 * sem,
+                    f"|sample mean {mean:.3e}|, bound 4 standard errors of {sem:.3e}"),
+        CheckResult("ou-shift-identity", shift_gap, 0.0, 0.0,
+                    "lattice shift identity gap, bit-exact"),
+        CheckResult("ou-sde-residual", residual, -np.inf, dt_path,
+                    "integrated-equation residual, bound dt_path"),
     )
     return ExperimentResult(spec.experiment, ("path", "z0"), tuple(rows), checks)
 
@@ -276,18 +282,14 @@ def _run_temperedness(spec: ExperimentSpec) -> ExperimentResult:
     rows = [one(i) for i in range(n_paths)]
     finals = np.array([row[2] for row in rows])
     frac = float(np.mean(finals < 1e-3))
+    r_hats = np.array([row[1] for row in rows])
+    # positive means at least the smallest subnormal; a non-finite one fails as NaN
+    smallest = float(np.min(r_hats)) if np.all(np.isfinite(r_hats)) else float("nan")
     checks = (
-        CheckResult(
-            "temperedness-decay",
-            frac >= 0.95,
-            f"{frac:.1%} of {n_paths} paths have e^(-beta t)*sum z^2 < 1e-3 "
-            f"at t = {horizon:g} (need >= 95%)",
-        ),
-        CheckResult(
-            "temperedness-envelope",
-            all(np.isfinite(row[1]) and row[1] > 0 for row in rows),
-            "every path has a finite positive empirical decay constant",
-        ),
+        CheckResult("temperedness-decay", frac, 0.95, np.inf,
+                    f"share of {n_paths} paths with e^(-beta t)*sum z^2 < 1e-3 at t = {horizon:g}"),
+        CheckResult("temperedness-envelope", smallest, np.nextafter(0.0, 1.0), np.inf,
+                    "smallest empirical decay constant; every one finite and positive"),
     )
     return ExperimentResult(
         spec.experiment, ("path", "r_hat", "final_diagnostic"), tuple(rows), checks
@@ -333,22 +335,13 @@ def _run_picard_contraction(spec: ExperimentSpec) -> ExperimentResult:
         for k in range(report.iterations)
     ]
     checks = (
-        CheckResult(
-            "picard-ratio",
-            report.max_ratio <= bound,
-            f"max per-sweep ratio {report.max_ratio:.6g} <= gain bound {bound:.6g} "
-            f"on horizon {horizon:g}",
-        ),
-        CheckResult(
-            "picard-converged",
-            report.converged,
-            f"fixed-point sweep converged in {report.iterations} iterations",
-        ),
-        CheckResult(
-            "picard-vs-steps",
-            agreement <= 1e-8 + dt,
-            f"picard and method-of-steps trajectories differ by {agreement:.3e}",
-        ),
+        CheckResult("picard-ratio", report.max_ratio, -np.inf, bound,
+                    f"max per-sweep ratio, bound gain + 1e-6 on horizon {horizon:g}"),
+        # converged exactly when the last sweep's change is within the tolerance
+        CheckResult("picard-converged", report.changes[-1], -np.inf, cfg.picard_tol,
+                    f"last sweep change after {report.iterations} sweeps"),
+        CheckResult("picard-vs-steps", agreement, -np.inf, 1e-8 + dt,
+                    "sup difference of picard and method-of-steps trajectories"),
     )
     return ExperimentResult(
         spec.experiment, ("iteration", "change", "ratio"), tuple(rows), checks
@@ -370,16 +363,10 @@ def _run_cocycle(spec: ExperimentSpec) -> ExperimentResult:
         rows.append((dt, cocycle_residual(solver, psi, path, t, s)))
     residuals = [res for _, res in rows]
     checks = (
-        CheckResult(
-            "cocycle-residual",
-            residuals[0] <= 10.0 * spec["dt"],
-            f"residual {residuals[0]:.3e} <= 10 dt = {10.0 * spec['dt']:g} at (t, s) = ({t:g}, {s:g})",
-        ),
-        CheckResult(
-            "cocycle-halving",
-            residuals[1] <= 0.5 * residuals[0] + 1e-12,
-            f"residual {residuals[1]:.3e} at dt/2 vs {residuals[0]:.3e} at dt",
-        ),
+        CheckResult("cocycle-residual", residuals[0], -np.inf, 10.0 * spec["dt"],
+                    f"residual at dt, (t, s) = ({t:g}, {s:g}), bound 10 dt"),
+        CheckResult("cocycle-halving", residuals[1], -np.inf, 0.5 * residuals[0] + 1e-12,
+                    "residual at dt/2, bound half the residual at dt + 1e-12"),
     )
     return ExperimentResult(spec.experiment, ("dt", "residual"), tuple(rows), checks)
 
@@ -419,7 +406,6 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
         radius = absorbing_radius(params, consts)
         path_rows = []
         worst_post = transient_excess = 0.0
-        all_entered = True
         bound_excess = -float("inf")
         # One batch per depth: the segments share the path and the horizon.
         by_depth = [pullback_conjugated(solver, segments, path, t) for t in times]
@@ -429,7 +415,6 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
             norms = [r.segment_co for r in runs]
             entry = next((k for k, v in enumerate(norms) if v <= radius), None)
             if entry is None:
-                all_entered = False
                 entry_time = float("nan")
             else:
                 entry_time = times[entry]
@@ -438,35 +423,25 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
                     transient_excess = max(transient_excess, norms[k] - radius - envelope)
                 worst_post = max(worst_post, max(norms[entry:]))
             path_rows += [(i, j, t, norms[k], radius, entry_time) for k, t in enumerate(times)]
-        return path_rows, radius, worst_post, transient_excess, all_entered, bound_excess
+        return path_rows, radius, worst_post, transient_excess, bound_excess
 
     results = [one_path(i) for i in range(n_paths)]
     rows = [row for path_rows, *_ in results for row in path_rows]
-    entered = all(r[4] for r in results)
+    # NaN, and so a failure, when some (path, segment) run never entered
+    last_entry = float(np.max([row[5] for row in rows]))
     c1_measured = max(0.0, max(r[3] for r in results))
-    worst_post = max(r[2] for r in results)
     min_radius = min(r[1] for r in results)
-    inside = all(r[2] <= r[1] + c1_measured for r in results)
-    worst_bound_excess = max(r[5] for r in results)
+    # the sign of a difference is exact: remain <= 0 when worst <= radius + slack
+    remain = float(np.max([r[2] - (r[1] + c1_measured) for r in results]))
+    worst_bound_excess = max(r[4] for r in results)
     checks = (
-        CheckResult(
-            "absorbing-entry",
-            entered,
-            f"every (path, segment) run entered the ball at some tested time "
-            f"(min radius {min_radius:.4g})",
-        ),
-        CheckResult(
-            "absorbing-remain",
-            inside,
-            f"post-entry co-norms stay within radius + measured slack "
-            f"(worst {worst_post:.4g}, slack {c1_measured:.4g})",
-        ),
-        CheckResult(
-            "pullback-sup-bound",
-            worst_bound_excess <= 1e-4,
-            f"every pullback run obeys the a-priori sup bound "
-            f"(worst excess {worst_bound_excess:.3e})",
-        ),
+        CheckResult("absorbing-entry", last_entry, -np.inf, times[-1],
+                    f"latest entry time into the ball over every (path, segment) run, "
+                    f"min radius {min_radius:.4g}"),
+        CheckResult("absorbing-remain", remain, -np.inf, 0.0,
+                    f"worst post-entry co-norm minus (radius + measured slack {c1_measured:.4g})"),
+        CheckResult("pullback-sup-bound", worst_bound_excess, -np.inf, 1e-4,
+                    "worst excess of a pullback run's sup over the a-priori bound"),
     )
     header = ("path", "segment", "t", "co_norm", "radius", "entry_time")
     return ExperimentResult(spec.experiment, header, tuple(rows), checks)
@@ -493,23 +468,12 @@ def _run_fixed_point(spec: ExperimentSpec) -> ExperimentResult:
     tail = pair[len(pair) // 2:]
     monotone = all(tail[k + 1] <= tail[k] + 1e-15 for k in range(len(tail) - 1))
     checks = (
-        CheckResult(
-            "fixed-point-rate",
-            report.unit_factor <= bound + 0.05,
-            f"fitted per-unit contraction {report.unit_factor:.4g} <= "
-            f"theoretical {bound:.4g} + 0.05",
-        ),
-        CheckResult(
-            "fixed-point-stationarity",
-            report.stationarity_gap <= 10.0 * dt,
-            f"one-step stationarity gap {report.stationarity_gap:.3e} <= 10 dt = {10.0 * dt:g}",
-        ),
-        CheckResult(
-            "fixed-point-attraction",
-            monotone and pair[-1] <= 1e-4,
-            f"pullback distances decrease over the final half and end at "
-            f"{pair[-1]:.3e} <= 1e-4",
-        ),
+        CheckResult("fixed-point-rate", report.unit_factor, -np.inf, bound + 0.05,
+                    f"fitted per-unit contraction, bound theoretical {bound:.4g} + 0.05"),
+        CheckResult("fixed-point-stationarity", report.stationarity_gap, -np.inf, 10.0 * dt,
+                    "one-step stationarity gap, bound 10 dt"),
+        CheckResult("fixed-point-attraction", pair[-1] if monotone else np.inf, -np.inf, 1e-4,
+                    "final pullback distance; inf if the final half rises by more than 1e-15"),
     )
     return ExperimentResult(
         spec.experiment,
@@ -540,12 +504,8 @@ def _run_convergence_study(spec: ExperimentSpec) -> ExperimentResult:
     ratio = errors[0] / errors[1] if errors[1] > 0 else float("inf")
     rows = [(dts[0], errors[0]), (dts[1], errors[1])]
     checks = (
-        CheckResult(
-            "convergence-order",
-            1.5 <= ratio <= 3.0,
-            f"error ratio {ratio:.3g} in [1.5, 3] when dt halves "
-            f"(errors {errors[0]:.3e} -> {errors[1]:.3e})",
-        ),
+        CheckResult("convergence-order", ratio, 1.5, 3.0,
+                    f"error ratio when dt halves, errors {errors[0]:.3e} -> {errors[1]:.3e}"),
     )
     return ExperimentResult(spec.experiment, ("dt", "sup_error"), tuple(rows), checks)
 

@@ -32,8 +32,6 @@ __all__ = [
     "KernelParams",
     "kernel_value",
     "DispersalKernel",
-    "apply_dispersal",
-    "estimate_operator_norm",
     "tail_mass",
 ]
 
@@ -105,38 +103,3 @@ class DispersalKernel:
         if f.grid is not self.grid and f.grid != self.grid:
             raise ParameterError("field grid does not match kernel grid")
         return Field(self.grid, self.apply_values(f.values))
-
-    def row_mass(self) -> np.ndarray:
-        """Exact operator action on the constant 1; equals the truncated
-        kernel mass and approaches erf(x / (2 sqrt alpha)) for x away
-        from the cut at L."""
-        return self.matrix @ np.ones(self.grid.n_cells + 1)
-
-
-def apply_dispersal(p: KernelParams | float, grid: Grid, f: Field) -> Field:
-    """One-shot application; prefer DispersalKernel when applying repeatedly."""
-    return DispersalKernel(p, grid).apply(f)
-
-
-def estimate_operator_norm(
-    p: KernelParams | float, grid: Grid, trials: int, seed: int
-) -> float:
-    """Empirical sup-norm operator norm of the dispersal matrix.
-
-    The first probe is the constant field 1: the matrix is nonnegative, so
-    the constant is the exact extremizer and the remaining random bounded
-    probes can only confirm the value from below.  Deterministic for a
-    given seed.
-    """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
-    op = DispersalKernel(p, grid)
-    n = grid.n_cells + 1
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for k in range(int(trials)):
-        probe = np.ones(n) if k == 0 else rng.uniform(-1.0, 1.0, size=n)
-        denom = float(np.max(np.abs(probe)))
-        ratio = float(np.max(np.abs(op.apply_values(probe)))) / denom
-        best = max(best, ratio)
-    return best

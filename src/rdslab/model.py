@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConditionViolatedError, ParameterError
 from .noise import NoiseProfiles, ProfileSpec
 
 __all__ = ["Nonlinearity", "ModelParams", "default_profiles"]
@@ -145,8 +145,23 @@ class ModelParams:
         return self.epsilon * self.nonlinearity.lipschitz
 
     @property
+    def delay_growth(self) -> float:
+        """e^{mu tau}, the delay's factor in the absorbing condition and radius.
+
+        Raises ConditionViolatedError where it overflows a double: nothing
+        that needs it can then be evaluated, even at eps * lipschitz = 0.
+        """
+        try:
+            return math.exp(self.mu * self.tau)
+        except OverflowError:
+            raise ConditionViolatedError(
+                f"e^(mu*tau) overflows at mu*tau = {self.mu * self.tau:.6g}; "
+                "the absorbing condition eps*lip*e^(mu*tau) < mu cannot be evaluated"
+            ) from None
+
+    @property
     def absorbing_condition(self) -> bool:
-        return self.feedback_lipschitz * math.exp(self.mu * self.tau) < self.mu
+        return self.feedback_lipschitz * self.delay_growth < self.mu
 
     @property
     def contraction_condition(self) -> bool:
@@ -167,7 +182,7 @@ class ModelParams:
     def describe_conditions(self) -> str:
         eL = self.feedback_lipschitz
         return (
-            f"absorbing: eps*lip*e^(mu*tau) = {eL * math.exp(self.mu * self.tau):.6g} "
+            f"absorbing: eps*lip*e^(mu*tau) = {eL * self.delay_growth:.6g} "
             f"{'<' if self.absorbing_condition else '>='} mu = {self.mu:.6g}; "
             f"contraction: tau = {self.tau:.6g} {'<' if self.tau < 1 else '>='} 1 and "
             f"mu*(1-tau) = {self.mu * (1 - self.tau):.6g} "

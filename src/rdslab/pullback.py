@@ -124,8 +124,8 @@ def absorbing_radius(params: ModelParams, consts: DerivedConstants) -> float:
         raise ConditionViolatedError(
             "absorbing ball undefined: " + params.describe_conditions()
         )
-    growth = params.feedback_lipschitz * math.exp(params.mu * params.tau)
-    head = 2.0 * consts.c * math.exp(params.mu * params.tau) * consts.r_hat
+    growth = params.feedback_lipschitz * params.delay_growth
+    head = 2.0 * consts.c * params.delay_growth * consts.r_hat
     tail = (
         consts.c
         * growth
@@ -139,7 +139,7 @@ def absorbing_radius(params: ModelParams, consts: DerivedConstants) -> float:
 def transient_envelope(params: ModelParams, initial_norm: float, t: float) -> float:
     """Decay envelope of the data-dependent transient under the absorbing
     condition: initial_norm * e^{-(mu - eps*lip*e^{mu tau}) t}."""
-    rate = params.mu - params.feedback_lipschitz * math.exp(params.mu * params.tau)
+    rate = params.mu - params.feedback_lipschitz * params.delay_growth
     return initial_norm * math.exp(-rate * t)
 
 

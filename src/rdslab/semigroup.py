@@ -25,7 +25,6 @@ and the finite-difference quotients are mean values of true derivatives.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +32,7 @@ from .errors import ParameterError
 from .grid import Field, Grid, sup_norm
 from .quadrature import operator_matrix
 
-__all__ = [
-    "DirichletHeatSemigroup",
-    "SemigroupBoundsReport",
-    "BoundCheck",
-    "ResolutionWarning",
-    "resolved_time_floor",
-]
+__all__ = ["DirichletHeatSemigroup", "ResolutionWarning", "resolved_time_floor"]
 
 
 class ResolutionWarning(UserWarning):
@@ -54,36 +47,6 @@ class ResolutionWarning(UserWarning):
 def resolved_time_floor(grid: Grid) -> float:
     """Smallest time whose Gaussian width is resolved by the mesh: 4 dx^2."""
     return 4.0 * grid.dx * grid.dx
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    measured: float
-    bound: float
-    slack: float
-
-    @property
-    def ok(self) -> bool:
-        return self.measured <= self.bound + self.slack
-
-
-@dataclass(frozen=True)
-class SemigroupBoundsReport:
-    t: float
-    mu: float
-    sup: BoundCheck
-    dx1: BoundCheck
-    dx2: BoundCheck
-    dt1: BoundCheck
-
-    @property
-    def checks(self) -> tuple[BoundCheck, ...]:
-        return (self.sup, self.dx1, self.dx2, self.dt1)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 class DirichletHeatSemigroup:
@@ -146,23 +109,21 @@ class DirichletHeatSemigroup:
 
     # -- verification -----------------------------------------------------
 
-    def check_bounds(self, f: Field, t: float, slack: float | None = None) -> SemigroupBoundsReport:
+    def check_bounds(self, f: Field, t: float) -> dict[str, tuple[float, float]]:
         """Measure the four decay/smoothing inequalities at time t > 0.
 
-        Derivatives are estimated by central differences of the linear-path
-        output (in x) and of the propagator family (in t, relative step
-        1e-3); slack defaults to max(1e-6, dx^2).
+        Returns (measured, bound) by name, in the order sup, dx1, dx2,
+        dt1.  Derivatives are estimated by central differences of the
+        linear-path output (in x) and of the propagator family (in t,
+        relative step 1e-3); the caller chooses the slack.
         """
         if not (np.isfinite(t) and t > 0):
             raise ParameterError(f"bounds check requires t > 0, got {t!r}")
-        if slack is None:
-            slack = max(1e-6, self.grid.dx ** 2)
         dx = self.grid.dx
         norm_f = sup_norm(f)
         decay = np.exp(-self.mu * t)
 
         v = self.operator(t, "linear") @ f.values
-        sup_meas = float(np.max(np.abs(v)))
         d1 = (v[2:] - v[:-2]) / (2.0 * dx)
         d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
         h = t * 1e-3
@@ -170,25 +131,9 @@ class DirichletHeatSemigroup:
         v_minus = self.operator(t - h, "linear") @ f.values
         dtv = (v_plus - v_minus) / (2.0 * h)
 
-        return SemigroupBoundsReport(
-            t=t,
-            mu=self.mu,
-            sup=BoundCheck("sup_decay", sup_meas, decay * norm_f, slack),
-            dx1=BoundCheck(
-                "x_derivative", float(np.max(np.abs(d1))), decay * norm_f / np.sqrt(np.pi * t), slack
-            ),
-            dx2=BoundCheck("xx_derivative", float(np.max(np.abs(d2))), decay * norm_f / t, slack),
-            dt1=BoundCheck(
-                "t_derivative",
-                float(np.max(np.abs(dtv))),
-                (1.0 + self.mu * t) * decay * norm_f / t,
-                slack,
-            ),
-        )
-
-
-def check_semigroup_bounds(
-    grid: Grid, mu: float, f: Field, t: float, slack: float | None = None
-) -> SemigroupBoundsReport:
-    """Convenience wrapper building the propagator family on the fly."""
-    return DirichletHeatSemigroup(grid, mu).check_bounds(f, t, slack)
+        return {
+            "sup": (float(np.max(np.abs(v))), decay * norm_f),
+            "dx1": (float(np.max(np.abs(d1))), decay * norm_f / np.sqrt(np.pi * t)),
+            "dx2": (float(np.max(np.abs(d2))), decay * norm_f / t),
+            "dt1": (float(np.max(np.abs(dtv))), (1.0 + self.mu * t) * decay * norm_f / t),
+        }

@@ -166,6 +166,22 @@ def test_fixed_point_horizon_off_the_step_lattice_is_rejected(tmp_path, capsys):
     assert parse_config("experiment = fixed-point\nseed = 1\nhorizon = 4\n")["horizon"] == 4.0
 
 
+OVERFLOW_CONFIGS = (
+    "experiment = absorbing\nseed = 1\nmu = 1000\ntau = 1\ndt = 0.025\n",
+    "experiment = absorbing\nseed = 1\nepsilon = 0\nmu = 800\ntau = 1\n",
+)
+
+
+def test_cli_overflowing_delay_growth_exits_two(tmp_path, capsys):
+    for text in OVERFLOW_CONFIGS:
+        with pytest.raises(ConditionViolatedError, match="overflows"):
+            parse_config(text)
+        cfg = _write(tmp_path, "o.cfg", text)
+        for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert main([*command, "--config", cfg]) == 2
+            assert "e^(mu*tau) overflows" in capsys.readouterr().err
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read" in capsys.readouterr().err

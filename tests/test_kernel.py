@@ -8,14 +8,7 @@ from scipy.special import erf, erfc
 
 from rdslab.errors import ParameterError
 from rdslab.grid import Field, make_grid, sup_norm
-from rdslab.kernel import (
-    DispersalKernel,
-    KernelParams,
-    apply_dispersal,
-    estimate_operator_norm,
-    kernel_value,
-    tail_mass,
-)
+from rdslab.kernel import DispersalKernel, KernelParams, kernel_value, tail_mass
 
 
 def test_kernel_params_validation():
@@ -50,7 +43,7 @@ def test_exact_mass_identity():
     p = KernelParams(1.0)
     grid = make_grid(20.0, 200)
     op = DispersalKernel(p, grid)
-    mass = op.row_mass()
+    mass = op.apply_values(np.ones(grid.nodes.size))
     x = grid.nodes
     s = 2.0 * np.sqrt(p.alpha)
     expected = erf(x / s) - 0.5 * (erfc((grid.length - x) / s) - erfc((grid.length + x) / s))
@@ -66,7 +59,7 @@ def test_matrix_nonnegative_rows_below_one():
             # entries are differences of Gaussian interval moments; rounding
             # can leave dust of order 1e-14 below zero
             assert np.all(op.matrix >= -1e-13)
-            assert np.max(op.row_mass()) <= 1.0 + 1e-12
+            assert np.max(op.apply_values(np.ones(grid.nodes.size))) <= 1.0 + 1e-12
             assert np.all(op.matrix[0] == 0.0)
 
 
@@ -108,19 +101,10 @@ def test_tail_mass_quantifies_truncation():
 def test_apply_dispersal_field_roundtrip():
     grid = make_grid(20.0, 200)
     f = Field.from_function(grid, lambda x: np.sin(x) * np.exp(-x / 3.0))
-    p = KernelParams(1.0)
-    one_shot = apply_dispersal(p, grid, f)
-    cached = DispersalKernel(p, grid).apply(f)
-    assert np.array_equal(one_shot.values, cached.values)
-    assert one_shot.values[0] == 0.0
-    assert sup_norm(one_shot) <= sup_norm(f) + 1e-12
+    op = DispersalKernel(KernelParams(1.0), grid)
+    out = op.apply(f)
+    assert out.grid is grid
+    assert np.array_equal(out.values, op.apply_values(f.values))
+    assert out.values[0] == 0.0
+    assert sup_norm(out) <= sup_norm(f) + 1e-12
 
-
-def test_estimate_operator_norm_close_to_truncated_mass():
-    grid = make_grid(20.0, 200)
-    p = KernelParams(1.0)
-    est = estimate_operator_norm(p, grid, trials=50, seed=3)
-    # the constant-sign probe realizes the max row mass
-    op = DispersalKernel(p, grid)
-    assert est == pytest.approx(np.max(op.row_mass()), rel=1e-12)
-    assert est <= 1.0 + 1e-12

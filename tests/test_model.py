@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rdslab.errors import ParameterError
+from rdslab.errors import ConditionViolatedError, ParameterError
 from rdslab.model import ModelParams, Nonlinearity, default_profiles
 
 
@@ -115,3 +115,17 @@ def test_describe_conditions_mentions_gates():
     text = p.describe_conditions()
     assert "absorbing" in text
     assert "contraction" in text
+
+
+def test_delay_growth_overflow_is_a_condition_error():
+    # e^(mu*tau) overflows a double past mu*tau ~ 709.78, even where
+    # eps*lip = 0 would make the product zero
+    for eps in (0.0, 1.0):
+        p = ModelParams(mu=800.0, epsilon=eps, alpha=1.0, tau=1.0)
+        with pytest.raises(ConditionViolatedError, match="overflows"):
+            p.absorbing_condition
+        with pytest.raises(ConditionViolatedError, match="overflows"):
+            p.describe_conditions()
+    # just below the overflow the verdicts stand, with no 0 * inf
+    assert ModelParams(mu=709.0, epsilon=0.0, alpha=1.0, tau=1.0).absorbing_condition
+    assert not ModelParams(mu=709.0, epsilon=1.0, alpha=1.0, tau=1.0).absorbing_condition

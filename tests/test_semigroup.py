@@ -7,11 +7,7 @@ import pytest
 
 from rdslab.errors import ParameterError
 from rdslab.grid import Field, make_grid, sup_norm
-from rdslab.semigroup import (
-    DirichletHeatSemigroup,
-    check_semigroup_bounds,
-    resolved_time_floor,
-)
+from rdslab.semigroup import DirichletHeatSemigroup, resolved_time_floor
 
 
 def gaussian_mode(a: float):
@@ -88,12 +84,11 @@ def test_operator_norm_within_decay_factor():
 def test_bounds_report_structure_and_verdict():
     grid = make_grid(20.0, 200)
     f = Field.from_function(grid, lambda x: x * np.exp(-x))
-    report = check_semigroup_bounds(grid, 1.0, f, 0.5)
-    names = [c.name for c in report.checks]
-    assert names == ["sup_decay", "x_derivative", "xx_derivative", "t_derivative"]
-    assert report.all_ok
-    for check in report.checks:
-        assert check.measured <= check.bound + check.slack
+    pairs = DirichletHeatSemigroup(grid, 1.0).check_bounds(f, 0.5)
+    assert list(pairs) == ["sup", "dx1", "dx2", "dt1"]
+    slack = max(1e-6, grid.dx ** 2)
+    for measured, bound in pairs.values():
+        assert 0.0 < measured <= bound + slack
 
 
 def test_bounds_hold_across_times_and_rates():
@@ -102,10 +97,12 @@ def test_bounds_hold_across_times_and_rates():
     values = rng.uniform(-1.0, 1.0, grid.nodes.size)
     values[0] = 0.0
     f = Field(grid, values)
+    slack = max(1e-6, grid.dx ** 2)
     for mu in (0.5, 2.0):
+        flow = DirichletHeatSemigroup(grid, mu)
         for t in (1e-3, 0.5, 5.0):
-            report = check_semigroup_bounds(grid, mu, f, t)
-            assert report.all_ok, f"bound failed at mu={mu}, t={t}"
+            for name, (measured, bound) in flow.check_bounds(f, t).items():
+                assert measured <= bound + slack, f"{name} bound failed at mu={mu}, t={t}"
 
 
 def test_odd_extension_agrees_with_image_pair():
