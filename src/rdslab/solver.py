@@ -28,10 +28,15 @@ exact; its interpolation error enters only through the dt-weighted
 forcing sum and stays O(dx^2) without amplification.
 
 The recursion runs on a (frames, B, nodes) stack: B histories sharing one
-path and horizon advance together, one matrix product per operator per
-step.  A batch of one is exactly the matrix-vector arithmetic above; a
-larger batch may round a member differently in the last bits, so batch
-composition must follow from the config alone, never from scheduling.
+path and horizon advance together, in delay blocks of m steps (the method
+of steps).  Steps k0 .. k0+m-1 read only frames k0 .. k0+m-1, all final
+once frame k0+m is, so their forcing is formed at once, each product
+still one BLAS call per frame: BLAS may round a row of one GEMM
+differently with the GEMM's row count and the row's place in it, so a
+GEMM over a whole block would tie the bits to the block alignment, which
+a restart shifts.  A batch of one is exactly the matrix-vector arithmetic
+above; a larger batch may round a member differently in the last bits, so
+batch composition must follow from the config alone, never scheduling.
 
 Everything downstream leans on two exactness properties of this module:
 restarting from a stored segment reproduces the continued run bit for
@@ -215,14 +220,11 @@ class DelaySolver:
 
     Matrices are built once and shared read-only by every solve.
     :meth:`_sweep` is the one step kernel, on (frames, B, nodes) stacks;
-    :meth:`solve` is its batch of one.  Batch composition must follow
-    from the config alone (see the module docstring).
+    :meth:`solve` is its batch of one.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, cfg: SolverConfig):
-        self.grid = grid
-        self.params = params
-        self.cfg = cfg
+        self.grid, self.params, self.cfg = grid, params, cfg
         self.delay_steps = lattice_steps(params.tau, cfg.dt, "tau (in steps of dt)", minimum=1)
         if cfg.mode == "picard":
             upper = contraction_interval(params)
@@ -252,8 +254,7 @@ class DelaySolver:
                 raise ParameterError(f"initial segment dt = {psi.dt} differs from solver dt")
             psi.require_dirichlet("initial segment")
         lattice_steps(self.cfg.dt, path.dt_knot, "solver dt (in path steps)", minimum=1)
-        n = lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
-        m = self.delay_steps
+        m, n = self.delay_steps, lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
         out = np.empty((m + n + 1, len(psis), self.grid.n_cells + 1))
         for b, psi in enumerate(psis):
             out[: m + 1, b] = psi.values
@@ -272,18 +273,25 @@ class DelaySolver:
 
     def _sweep(self, out: np.ndarray, delayed: np.ndarray, z_rows, q_rows) -> None:
         """The one step loop: fill out[m+1:] from out[:m+1], reading delayed
-        states from ``delayed`` (``out`` itself, or the previous Picard sweep)."""
-        m, dt = self.delay_steps, self.cfg.dt
-        full, half = self._step_full.T, self._step_half.T
-        if out.shape[1] == 1:  # a lone history steps as vectors: same bits, less overhead
-            out, delayed = out[:, 0], delayed[:, 0]
-        feedback = self.params.epsilon != 0.0 and self.params.nonlinearity.kind != "zero"
-        for k in range(out.shape[0] - m - 1):
-            force = q_rows[k + m]
+        states from ``delayed`` (``out`` itself, or the previous Picard sweep).
+
+        Block k0 .. k1-1 (k1 <= k0 + m) starts with ``out`` complete through
+        frame k0 + m, so delayed[k0:k1] is final in both modes: f, Disp and
+        S(dt/2) run once on its stack, one BLAS call per frame and never one
+        flattened GEMM (module docstring); only S(dt) runs frame by frame.
+        """
+        m, dt, n = self.delay_steps, self.cfg.dt, out.shape[0] - self.delay_steps - 1
+        full, half, p = self._step_full.T, self._step_half.T, self.params
+        feedback = p.epsilon != 0.0 and p.nonlinearity.kind != "zero"
+        for k0 in range(0, n, m):
+            k1 = min(k0 + m, n)
+            force = q_rows[k0 + m : k1 + m, None]
             if feedback:
-                force = _feedback(self.params, self.dispersal, delayed[k], z_rows[k]) + force
-            np.matmul(out[k + m], full, out=out[k + m + 1])
-            out[k + m + 1] += dt * (force @ half)
+                force = _feedback(p, self.dispersal, delayed[k0:k1], z_rows[k0:k1, None]) + force
+            g = dt * (force @ half)
+            for k in range(k0, k1):
+                np.matmul(out[k + m], full, out=out[k + m + 1])
+                out[k + m + 1] += g[k - k0]
 
     # -- integration --------------------------------------------------------
 
@@ -320,21 +328,16 @@ class DelaySolver:
         cur[m + 1 :] = psi.values[-1]
         rows = self.noise_series(path, horizon)
         changes: list[float] = []
-        ratios: list[float] = []
-        converged = False
         for _ in range(self.cfg.picard_max_iter):
-            new = np.empty_like(cur)
-            new[: m + 1] = cur[: m + 1]
+            new = cur.copy()
             self._sweep(new, cur, *rows)
-            change = float(np.max(np.abs(new[m + 1 :] - cur[m + 1 :])))
-            if changes and changes[-1] > 0.0:
-                ratios.append(change / changes[-1])
-            changes.append(change)
+            changes.append(float(np.max(np.abs(new[m + 1 :] - cur[m + 1 :]))))
             cur = new
-            if change <= self.cfg.picard_tol:
-                converged = True
+            if changes[-1] <= self.cfg.picard_tol:
                 break
-        report = PicardReport(len(changes), tuple(changes), tuple(ratios), converged, horizon)
+        converged = changes[-1] <= self.cfg.picard_tol
+        ratios = tuple(b / a for a, b in zip(changes, changes[1:]) if a > 0.0)
+        report = PicardReport(len(changes), tuple(changes), ratios, converged, horizon)
         return self._trajectories(cur)[0], report
 
 
@@ -348,20 +351,17 @@ def _ou_window(mu: float, dt: float) -> OUParams:
     return OUParams(mu, default_s_cut(mu, dt))
 
 
-def _noise_rows_for(traj: Trajectory, params: ModelParams, path: WienerPath) -> np.ndarray:
+def _add_noise(traj: Trajectory, params: ModelParams, path: WienerPath, sign: float) -> Trajectory:
     z = ou_series(path, _ou_window(params.mu, traj.dt), traj.times())
-    return noise_rows(params.profiles.values(traj.grid.nodes), z)
+    rows = noise_rows(params.profiles.values(traj.grid.nodes), z)
+    return Trajectory(traj.grid, traj.tau, traj.dt, traj.values + sign * rows, traj.t0)
 
 
 def to_u(traj: Trajectory, params: ModelParams, path: WienerPath) -> Trajectory:
     """Reconstruct the original unknown: u(t) = v(t) + noise field at t."""
-    return Trajectory(
-        traj.grid, traj.tau, traj.dt, traj.values + _noise_rows_for(traj, params, path), traj.t0
-    )
+    return _add_noise(traj, params, path, 1.0)
 
 
 def to_v(traj: Trajectory, params: ModelParams, path: WienerPath) -> Trajectory:
     """Invert :func:`to_u` by subtracting the same noise field rows."""
-    return Trajectory(
-        traj.grid, traj.tau, traj.dt, traj.values - _noise_rows_for(traj, params, path), traj.t0
-    )
+    return _add_noise(traj, params, path, -1.0)

@@ -178,6 +178,19 @@ def test_cocycle_residual_exact_restart():
     assert res == 0.0
 
 
+@pytest.mark.parametrize("tau", [0.1, 0.01], ids=["m10", "m1"])
+def test_cocycle_residual_exact_when_leg_blocks_do_not_align(tau):
+    # the second leg starts 37 frames in, so its delay blocks of tau/dt
+    # frames sit 7 frames off the direct run's at m = 10; products taken
+    # one frame at a time keep the two routes bit-identical regardless
+    params = ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=tau, profiles=default_profiles(1))
+    dt = 0.01
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = sample_wiener(1, -40.0, 1.0, dt, seed=8)
+    psi = Segment.from_function(GRID, tau, dt, lambda xi, x: x * np.exp(-x) * (1 + 5 * xi))
+    assert cocycle_residual(solver, psi, path, 0.55, 0.37) == 0.0
+
+
 def test_cocycle_residual_validates_lattice():
     params = absorbing_params()
     dt = 0.025

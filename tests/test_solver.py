@@ -343,6 +343,73 @@ def test_picard_batch_solves_each_member():
         assert np.array_equal(member.values, picard.solve(psi, path, horizon).values)
 
 
+# ------------------------------------------------------------ delay blocks
+
+
+def _frame_by_frame(solver, psis, path, horizon):
+    """Oracle: the step loop without delay blocks.  Each frame forms its own
+    feedback and forcing, and a lone history steps as plain vectors."""
+    params, m, dt = solver.params, solver.delay_steps, solver.cfg.dt
+    n = int(round(horizon / dt))
+    out = np.empty((m + n + 1, len(psis), GRID.n_cells + 1))
+    for b, psi in enumerate(psis):
+        out[: m + 1, b] = psi.values
+    states = out[:, 0] if len(psis) == 1 else out
+    z_rows, q_rows = solver.noise_series(path, horizon)
+    full = solver.semigroup.operator(dt, order="spline").T
+    half = solver.semigroup.operator(dt / 2.0, order="spline").T
+    feedback = params.epsilon != 0.0 and params.nonlinearity.kind != "zero"
+    for k in range(n):
+        force = q_rows[k + m]
+        if feedback:
+            f = params.nonlinearity.value(states[k] + z_rows[k])
+            force = params.epsilon * (f @ solver.dispersal.matrix.T) + force
+        np.matmul(states[k + m], full, out=states[k + m + 1])
+        states[k + m + 1] += dt * (force @ half)
+    return out
+
+
+# m = 10 with 37 steps ends in a partial block; m = 1 makes every block one frame
+_BLOCK_CASES = pytest.mark.parametrize(
+    "tau, dt, horizon", [(0.1, 0.01, 0.37), (0.02, 0.02, 0.3)], ids=["m10-partial", "m1"]
+)
+_FEEDBACK = {"live": {}, "eps0": {"epsilon": 0.0}, "zero-f": {"nonlinearity": Nonlinearity("zero")}}
+
+
+def _block_psis(tau, dt):
+    return [
+        Segment.from_function(GRID, tau, dt, lambda xi, x, a=a: a * x * np.exp(-x) * (1 + 3 * xi))
+        for a in (1.0, -2.0, 0.5, 3.0, -0.7)
+    ]
+
+
+@_BLOCK_CASES
+@pytest.mark.parametrize("feedback", list(_FEEDBACK))
+def test_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon, feedback):
+    params = live_params(tau=tau, profiles=default_profiles(2), **_FEEDBACK[feedback])
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = live_path(params, dt, horizon, seed=21)
+    psis = _block_psis(tau, dt)
+    for b in (1, 2, 5):
+        ref = _frame_by_frame(solver, psis[:b], path, horizon)
+        for j, traj in enumerate(solver.solve_batch(psis[:b], path, horizon)):
+            assert np.array_equal(traj.values, ref[:, j])
+    ref = _frame_by_frame(solver, psis[:1], path, horizon)[:, 0]
+    assert np.array_equal(solver.solve(psis[0], path, horizon).values, ref)
+
+
+@_BLOCK_CASES
+def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon):
+    # a sweep reads its delayed states from the previous sweep, not from out
+    params = live_params(tau=tau)
+    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard", picard_tol=1e-300))
+    path = live_path(params, dt, horizon, seed=22)
+    psi = _block_psis(tau, dt)[0]
+    traj, report = picard.picard_solve(psi, path, horizon)
+    assert report.changes[-1] == 0.0
+    assert np.array_equal(traj.values, _frame_by_frame(picard, [psi], path, horizon)[:, 0])
+
+
 # ----------------------------------------------------- conjugation to_u/to_v
 
 
