@@ -9,7 +9,8 @@ is realized by moving the origin, so shifted paths share the base record
 and compositions of shifts are bit-exact: every evaluation subtracts the
 same base entry.  This makes the flow property of the shift, and every
 identity built on it downstream, hold to the last bit rather than to a
-tolerance.
+tolerance.  One record may also stack independently seeded paths, m rows
+each, every one with the bits of its own lone draw (``sample_wiener``).
 
 The stationary integrator for a component with decay rate mu is
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +123,6 @@ class WienerPath:
         idx = self.index_of(s)
         return WienerPath(self.base_values, idx, self.dt_knot)
 
-    def times(self) -> np.ndarray:
-        n = self.base_values.shape[1]
-        return (np.arange(n) - self.origin) * self.dt_knot
-
     def knots(self) -> np.ndarray:
         """Materialized logical values over the whole window, (m, n)."""
         return self.base_values - self.base_values[:, self.origin][:, None]
@@ -141,24 +139,32 @@ def _window_steps(m: int, t_lo: float, t_hi: float, dt_path: float) -> tuple[int
     return -lattice_steps(t_lo, dt_path, "t_lo", minimum=None), lattice_steps(t_hi, dt_path, "t_hi")
 
 
-def sample_wiener(m: int, t_lo: float, t_hi: float, dt_path: float, seed: int) -> WienerPath:
+def sample_wiener(
+    m: int, t_lo: float, t_hi: float, dt_path: float, seed: int | Sequence[int]
+) -> WienerPath:
     """Sample an m-component two-sided Wiener path on [t_lo, t_hi].
 
     t_lo <= 0 <= t_hi and both must be lattice multiples of dt_path.  The
     two half-axes use independent increment blocks; the forward block is
     drawn first, so enlarging the backward window does not change the
     forward samples for a fixed seed.
+
+    ``seed`` is an int or a sequence of ints.  Member i of a sequence owns
+    rows i*m ... i*m + m - 1 of one path, with the bits of a lone call.
     """
     n_neg, n_pos = _window_steps(m, t_lo, t_hi, dt_path)
-    rng = np.random.default_rng(seed)
-    root_dt = math.sqrt(dt_path)
-    values = np.zeros((int(m), n_neg + n_pos + 1))
-    if n_pos:
-        fwd = rng.standard_normal((int(m), n_pos)) * root_dt
-        values[:, n_neg + 1 :] = np.cumsum(fwd, axis=1)
-    if n_neg:
-        bwd = rng.standard_normal((int(m), n_neg)) * root_dt
-        values[:, :n_neg] = np.cumsum(bwd, axis=1)[:, ::-1]
+    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    if not seeds:
+        raise ParameterError("seed sequence is empty")
+    fwd, bwd = np.empty((len(seeds) * m, n_pos)), np.empty((len(seeds) * m, n_neg))
+    for i, rng in enumerate(map(np.random.default_rng, seeds)):
+        rng.standard_normal(out=fwd[i * m : i * m + m])
+        rng.standard_normal(out=bwd[i * m : i * m + m])
+    fwd *= math.sqrt(dt_path)
+    bwd *= math.sqrt(dt_path)
+    values = np.zeros((len(seeds) * m, n_neg + n_pos + 1))
+    np.cumsum(fwd, axis=1, out=values[:, n_neg + 1 :])
+    np.cumsum(bwd, axis=1, out=values[:, :n_neg][:, ::-1])
     return WienerPath(values, n_neg, dt_path)
 
 
@@ -212,21 +218,22 @@ def ou_series(path: WienerPath, p: OUParams, times) -> np.ndarray:
     """Stationary integrator at lattice times, shape (m, len(times)).
 
     A scalar time gives shape (m, 1).  Each value is the trapezoid sum
-    over the history window, read from one sliding correlation of the
-    base record, so it depends only on the base index of its time: a
-    shifted path sharing the base record gives the same bits.
+    over the history window, read from one sliding correlation of the span
+    of the base record the times need, so its bits depend only on the base
+    index of its time, whatever the other times or the path's shift.
     """
     n_cut, ker, ker_mass = _window_kernel(p, path.dt_knot)
     idx = np.atleast_1d(path.index_of(times))
-    if idx.size and idx.min() - n_cut < 0:
+    if idx.size == 0:
+        return np.empty((path.m, 0))
+    lo = idx.min() - n_cut
+    if lo < 0:
         raise WindowExhaustedError(
             f"stationary evaluation needs {n_cut} lattice points of history before each time"
         )
-    out = np.empty((path.m, idx.size))
-    for j in range(path.m):
-        corr = np.correlate(path.base_values[j], ker, mode="valid")
-        out[j] = -p.mu * (corr[idx - n_cut] - path.base_values[j, idx] * ker_mass)
-    return out
+    span = path.base_values[:, lo : idx.max() + 1]
+    corr = np.array([np.correlate(row, ker, mode="valid") for row in span])
+    return -p.mu * (corr[:, idx - n_cut - lo] - path.base_values[:, idx] * ker_mass)
 
 
 def sde_residual(path: WienerPath, p: OUParams, t0: float, t1: float) -> float:
@@ -251,18 +258,20 @@ def sde_residual(path: WienerPath, p: OUParams, t0: float, t1: float) -> float:
 
 def temperedness_diagnostic(
     path: WienerPath, p: OUParams, beta: float, horizon: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Series e^{-beta t} * sum_j z_j(theta_{-t} w)^2 on t in [0, horizon].
 
     A tempered driver sends this to zero for every beta > 0; the series is
-    the direct observable for that decay along one path.
+    the direct observable for that decay along one path.  Also returns the
+    :func:`empirical_decay_bound` of [-horizon, 0], bit for bit, from the same series.
     """
     if not (np.isfinite(beta) and beta > 0):
         raise ParameterError(f"beta must be positive, got {beta!r}")
     n = lattice_steps(horizon, path.dt_knot, "horizon")
     t = path.dt_knot * np.arange(n + 1)
     z = ou_series(path, p, -t)
-    return t, np.exp(-beta * t) * np.sum(z * z, axis=0)
+    amp = np.sum(z * z, axis=0)
+    return t, np.exp(-beta * t) * amp, float(np.max(np.exp(-p.mu * t / 2.0) * amp))
 
 
 def empirical_decay_bound(

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from rdslab.config import parse_config
 from rdslab.errors import ParameterError, WindowExhaustedError
+from rdslab.experiments import run_experiment
 from rdslab.grid import make_grid
 from rdslab.noise import (
     NoiseProfiles,
@@ -173,11 +177,12 @@ def test_temperedness_diagnostic_decays():
     p = OUParams(1.0, default_s_cut(1.0, dt))
     horizon = 100.0
     path = sample_wiener(2, -horizon - p.s_cut, 0.0, dt, seed=8)
-    times, diag = temperedness_diagnostic(path, p, 0.1, horizon)
+    times, diag, r_hat = temperedness_diagnostic(path, p, 0.1, horizon)
     assert times[0] == pytest.approx(0.0)
     assert times[-1] == pytest.approx(horizon)
     assert diag[-1] < 1e-3
-    r_hat = empirical_decay_bound(path, p, -horizon, 0.0)
+    # the same growth constant, bit for bit, as the pullback route computes
+    assert r_hat == empirical_decay_bound(path, p, -horizon, 0.0)
     # by construction the envelope dominates the squared amplitude
     lattice = np.arange(-horizon, 0.0 + dt / 2, dt)
     series = ou_series(path, p, lattice)
@@ -242,3 +247,58 @@ def test_sample_requires_valid_window():
         sample_wiener(1, 5.0, -5.0, 0.1, seed=0)
     with pytest.raises(ParameterError, match="m"):
         sample_wiener(0, -5.0, 5.0, 0.1, seed=0)
+
+
+def _lone_draw(m, n_neg, n_pos, dt, seed):
+    """The single-path draw, written out: forward block first, then backward."""
+    rng = np.random.default_rng(seed)
+    fwd = rng.standard_normal((m, n_pos)) * math.sqrt(dt)
+    bwd = rng.standard_normal((m, n_neg)) * math.sqrt(dt)
+    values = np.zeros((m, n_neg + n_pos + 1))
+    values[:, n_neg + 1 :] = np.cumsum(fwd, axis=1)
+    values[:, :n_neg] = np.cumsum(bwd, axis=1)[:, ::-1]
+    return values
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("window", [(-0.7, 0.0), (0.0, 0.5), (-0.7, 0.5)])
+def test_stacked_draw_equals_lone_draws(m, window):
+    dt = 0.1
+    n_neg, n_pos = round(-window[0] / dt), round(window[1] / dt)
+    seeds = [2**63, 10**30, 3, 3, 0]
+    stack = sample_wiener(m, *window, dt, seeds)
+    assert stack.base_values.shape == (len(seeds) * m, n_neg + n_pos + 1)
+    assert stack.origin == n_neg
+    for i, seed in enumerate(seeds):
+        lone = _lone_draw(m, n_neg, n_pos, dt, seed)
+        assert np.array_equal(sample_wiener(m, *window, dt, seed).base_values, lone)
+        assert np.array_equal(stack.base_values[i * m : i * m + m], lone)
+    with pytest.raises(ParameterError, match="seed"):
+        sample_wiener(m, *window, dt, [])
+
+
+def test_ou_stats_rows_do_not_depend_on_the_stacks():
+    seed, n_paths, dt, mu = 11, 37, 0.02, 1.0  # 37 = two full stacks and a partial one
+    result = run_experiment(parse_config(
+        f"experiment = ou-stats\nseed = {seed}\npaths = {n_paths}\nmu = {mu}\ndt_path = {dt}\n"
+    ))
+    p = OUParams(mu, default_s_cut(mu, dt))
+    n_neg = round(p.s_cut / dt)
+    lone_paths = [WienerPath(_lone_draw(1, n_neg, 0, dt, seed + i), n_neg, dt) for i in range(n_paths)]
+    oracle = [(i, float(ou_series(path, p, 0.0)[0, 0])) for i, path in enumerate(lone_paths)]
+    assert list(result.rows) == oracle
+
+
+def test_ou_series_reads_only_the_span_its_times_need():
+    dt = 0.05
+    p = OUParams(1.0, default_s_cut(1.0, dt))
+    path = sample_wiener(2, -p.s_cut - 3.0, 2.0, dt, seed=12)
+    first = -3.0  # the earliest time with a full history window
+    grid = first + dt * np.arange(round((2.0 - first) / dt) + 1)
+    full = ou_series(path, p, grid)
+    for picks in ([0], [len(grid) - 1], [len(grid) - 1, 0, 1], [3, 1, len(grid) - 2, 2]):
+        times = grid[picks]
+        assert np.array_equal(ou_series(path, p, times), full[:, picks])
+    assert ou_series(path, p, []).shape == (2, 0)
+    with pytest.raises(WindowExhaustedError):
+        ou_series(path, p, [0.0, first - dt])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import re
 import warnings
 from pathlib import Path
 
@@ -9,7 +12,8 @@ from setuptools.config.pyprojecttoml import read_configuration
 
 import rdslab
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_distribution_version_is_the_package_version():
@@ -18,3 +22,12 @@ def test_distribution_version_is_the_package_version():
         project = read_configuration(PYPROJECT)["project"]
     assert project["dynamic"] == ["version"]
     assert project["version"] == rdslab.__version__
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "absorbing radius:" in out.getvalue() and "sup at time 0:" in out.getvalue()
