@@ -68,7 +68,6 @@ from .pullback import (
     pullback_bound,
     pullback_conjugated,
     pullback_state,
-    time_one_contraction,
 )
 from .semigroup import DirichletHeatSemigroup
 from .solver import (
@@ -120,7 +119,6 @@ __all__ = [
     "pullback_bound",
     "pullback_conjugated",
     "pullback_state",
-    "time_one_contraction",
     "DirichletHeatSemigroup",
     "DelaySolver",
     "SolverConfig",

@@ -10,9 +10,10 @@ values.  The compact-open norm is the weighted series
 
     sum_{n >= 1} 2^{-n} * sup_{[0, min(n, L)]} |f|
 
-truncated at ``n_max`` terms plus the tail bound ``2^{-n_max} * sup |f|``,
-which upper-bounds every neglected term, so the truncated value is always
-an upper bound for the full series and never exceeds ``sup |f|``.
+truncated at ``n_max = ceil(L)`` terms plus the tail bound
+``2^{-n_max} * sup |f|``.  Every neglected term has the window [0, L], so
+the tail is exactly their sum: the truncated value is the full series on
+the truncated domain and never exceeds ``sup |f|``.
 """
 
 from __future__ import annotations
@@ -104,13 +105,6 @@ class Grid:
     def __post_init__(self) -> None:
         self.nodes.setflags(write=False)
 
-    def index_of(self, x: float) -> int:
-        """Node index of a coordinate that must lie on the mesh."""
-        i = lattice_steps(x, self.dx, "node coordinate x")
-        if i > self.n_cells:
-            raise ParameterError(f"x = {x} is not a node of the grid")
-        return i
-
 
 def make_grid(length: float, n_cells: int) -> Grid:
     """Build the uniform grid for the truncated domain.
@@ -183,39 +177,26 @@ def default_n_max(grid: Grid) -> int:
     return max(1, int(math.ceil(grid.length)))
 
 
-def compact_open_norm(f: Field, n_max: int | None = None) -> float:
-    """Truncated weighted compact-open norm of a field.
-
-    The result is an upper bound for the untruncated series and satisfies
-    ``0 <= result <= sup_norm(f)``.
-
-    Parameters
-    ----------
-    f : Field
-    n_max : int, optional
-        Number of series terms kept; defaults to ``ceil(L)``.
-    """
-    return float(_co_norms(f.grid, f.values, n_max))
+def compact_open_norm(f: Field) -> float:
+    """Weighted compact-open norm of a field, ``0 <= result <= sup_norm(f)``."""
+    return float(_co_norms(f.grid, f.values))
 
 
-def _co_norms(grid: Grid, values: np.ndarray, n_max: int | None) -> np.ndarray:
+def _co_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Compact-open norm of every row of values (last axis = nodes).
 
     Each row's series is summed in the same n order whatever the number
     of rows, so a row's norm does not depend on the rows beside it.
     """
-    if n_max is None:
-        n_max = default_n_max(grid)
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
-        raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
+    n_max = default_n_max(grid)
     # Running sup over [0, x_i]; window sup for [0, min(n, L)] is a lookup.
     prefix = np.maximum.accumulate(np.abs(values), axis=-1)
     total = np.zeros(values.shape[:-1])
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, n_max + 1):
         x_hi = min(float(n), grid.length)
         i = min(grid.n_cells, int(math.floor(x_hi / grid.dx + 1e-9)))
         total += 2.0 ** (-n) * prefix[..., i]
-    total += 2.0 ** (-int(n_max)) * prefix[..., -1]
+    total += 2.0 ** (-n_max) * prefix[..., -1]
     return total
 
 
@@ -291,6 +272,6 @@ def segment_sup_norm(s: Segment) -> float:
     return float(np.max(np.abs(s.values)))
 
 
-def segment_co_norm(s: Segment, n_max: int | None = None) -> float:
-    """Sup over frames of the truncated compact-open norm."""
-    return float(np.max(_co_norms(s.grid, s.values, n_max)))
+def segment_co_norm(s: Segment) -> float:
+    """Sup over frames of the compact-open norm."""
+    return float(np.max(_co_norms(s.grid, s.values)))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ParameterError
-from .grid import Field, Grid
+from .grid import Grid
 from .quadrature import operator_matrix
 
 __all__ = [
@@ -62,19 +62,17 @@ def kernel_value(p: KernelParams | float, x, y):
     return out if out.shape else float(out)
 
 
-def tail_mass(p: KernelParams | float, grid: Grid, x_upper: float | None = None) -> float:
-    """Neglected kernel mass beyond the domain: max over x <= x_upper of
+def tail_mass(p: KernelParams | float, grid: Grid) -> float:
+    """Neglected kernel mass beyond the domain: max over x <= L/2 of
     integral_L^infinity Gamma(alpha, x, y) dy.
 
     Closed form: (1/2)[erfc((L-x)/(2 sqrt a)) - erfc((L+x)/(2 sqrt a))].
-    Test fields decay well before L/2, so that is the default probe range;
-    near x = L the neglected mass is O(1) for any L and the truncation
-    would be meaningless.
+    Test fields decay well before L/2, so that is the probe range; near
+    x = L the neglected mass is O(1) for any L and the truncation would
+    be meaningless.
     """
     alpha = p.alpha if isinstance(p, KernelParams) else float(p)
-    if x_upper is None:
-        x_upper = grid.length / 2.0
-    xs = grid.nodes[grid.nodes <= x_upper + 1e-12]
+    xs = grid.nodes[grid.nodes <= grid.length / 2.0 + 1e-12]
     s = 2.0 * np.sqrt(alpha)
     vals = 0.5 * ((1.0 - erf((grid.length - xs) / s)) - (1.0 - erf((grid.length + xs) / s)))
     return float(np.max(vals))
@@ -98,8 +96,3 @@ class DispersalKernel:
                 f"values last axis {values.shape[-1]} does not match grid ({self.grid.n_cells + 1})"
             )
         return values @ self.matrix.T
-
-    def apply(self, f: Field) -> Field:
-        if f.grid is not self.grid and f.grid != self.grid:
-            raise ParameterError("field grid does not match kernel grid")
-        return Field(self.grid, self.apply_values(f.values))

@@ -5,7 +5,9 @@ ever earlier along the backward-shifted driver: the state observed is
 Φ(t, shift(-t) w, data).  As t grows the observed state forgets its data
 and settles onto a random quantity attached to the path alone — the
 random stationary state — provided the decay rate beats the delayed
-feedback.
+feedback.  Runs of the original state u subtract on entry, and add back
+on exit, the field rows of :meth:`DelaySolver.noise_series`, the one
+route from a path to noise rows.
 
 Two explicit constants turn the abstract estimates into checkable
 numbers.  ``empirical_decay_bound`` supplies r_hat with
@@ -37,7 +39,7 @@ from .errors import ConditionViolatedError, ParameterError
 from .grid import Grid, Segment, lattice_steps, segment_co_norm, segment_sup_norm, sup_norm
 from .model import ModelParams
 from .noise import OUParams, WienerPath, default_s_cut, empirical_decay_bound
-from .solver import DelaySolver, Trajectory, to_u, to_v
+from .solver import DelaySolver
 
 __all__ = [
     "DerivedConstants",
@@ -51,7 +53,6 @@ __all__ = [
     "pullback_state",
     "advance_state",
     "cocycle_residual",
-    "time_one_contraction",
     "FixedPointReport",
     "fixed_point_estimate",
 ]
@@ -104,13 +105,13 @@ def derived_constants(
 def pullback_bound(params: ModelParams, consts: DerivedConstants, psi: Segment) -> float:
     """A-priori sup bound for every pullback run from psi:
 
-        sup |v(t, shift(-t) w, psi)| <= sup |psi(0)| + (M + c r_hat) * 2 / mu.
+        sup |v(t, shift(-t) w, psi)| <= sup |psi(0)| + (eps M + c r_hat) * 2 / mu,
 
-    Valid whenever the forcing bound eps * M does not exceed M, i.e. for
-    eps <= 1; larger eps only needs M rescaled by the caller.
+    where eps M bounds the delayed feedback eps * Disp[f] (|f| <= M and
+    Disp does not amplify the sup norm).
     """
-    m_bound = params.nonlinearity.bound
-    return sup_norm(psi.frame(psi.n_frames - 1)) + (m_bound + consts.c * consts.r_hat) * 2.0 / params.mu
+    forcing = params.epsilon * params.nonlinearity.bound
+    return sup_norm(psi.frame(psi.n_frames - 1)) + (forcing + consts.c * consts.r_hat) * 2.0 / params.mu
 
 
 def absorbing_radius(params: ModelParams, consts: DerivedConstants) -> float:
@@ -199,25 +200,21 @@ def pullback_conjugated(
     )
 
 
-def _conjugate(solver: DelaySolver, phi: Segment, path: WienerPath) -> Segment:
-    """The v-history of the u-history phi: :func:`to_v` on [-tau, 0], so
-    the rows subtracted here are the rows :func:`to_u` adds back."""
-    history = Trajectory(phi.grid, phi.tau, phi.dt, phi.values)
-    return to_v(history, solver.params, path).initial_segment
-
-
 def _reconstruct(
     solver: DelaySolver, phi: Segment | Sequence[Segment], path: WienerPath, horizon: float
 ) -> list[Segment]:
-    """u-segments at the horizon: conjugate on entry, integrate v, and add
-    the noise rows back on the terminal frames only (each row depends on
-    its own time alone, so this equals :func:`to_u` of the whole run)."""
+    """u-segments at the horizon: subtract the solver's noise rows on
+    [-tau, 0] from phi, integrate v, and add the rows on [horizon - tau,
+    horizon] to the terminal frames.  A row depends only on the base index
+    of its time, so these are the whole run's rows bit for bit."""
+    z_in = solver.noise_series(path, 0.0)[0]
     if isinstance(phi, Segment):
-        entry = _conjugate(solver, phi, path)
+        entry = Segment(phi.grid, phi.tau, phi.dt, phi.values - z_in)
     else:
-        entry = [_conjugate(solver, p, path) for p in phi]
+        entry = [Segment(p.grid, p.tau, p.dt, p.values - z_in) for p in phi]
+    z_out = solver.noise_series(path.shift(horizon), 0.0)[0]
     return [
-        to_u(Trajectory(v.grid, v.tau, v.dt, v.values, horizon), solver.params, path).initial_segment
+        Segment(v.grid, v.tau, v.dt, v.values + z_out)
         for v in _terminal_segments(solver, entry, path, horizon)
     ]
 
@@ -227,8 +224,8 @@ def pullback_state(
 ) -> PullbackRun | list[PullbackRun]:
     """Pullback run of the original state u from history phi.
 
-    Conjugates on entry (subtract the noise field on the initial window
-    of the shifted path), integrates v, and reconstructs u on exit.  A
+    Subtracts the solver's noise rows on the initial window of the
+    shifted path, integrates v, and adds the rows back on exit.  A
     sequence of histories is advanced as one batch, one run per member.
     """
     _check_pullback_time(solver, t)
@@ -268,23 +265,6 @@ def cocycle_residual(
     return segment_co_norm(
         Segment(psi.grid, psi.tau, psi.dt, direct.values - second.values)
     )
-
-
-def time_one_contraction(
-    solver: DelaySolver, phi1: Segment, phi2: Segment, path: WienerPath
-) -> float:
-    """Co-norm contraction factor of the time-one solution map.
-
-    Differences of solutions are invariant under the noise conjugation,
-    so the ratio is computed on the conjugated runs directly.
-    """
-    if np.array_equal(phi1.values, phi2.values):
-        raise ParameterError("phi1 and phi2 are identical: contraction ratio undefined")
-    d0 = segment_co_norm(Segment(phi1.grid, phi1.tau, phi1.dt, phi1.values - phi2.values))
-    one = solver.solve(phi1, path, 1.0).terminal_segment
-    two = solver.solve(phi2, path, 1.0).terminal_segment
-    d1 = segment_co_norm(Segment(phi1.grid, phi1.tau, phi1.dt, one.values - two.values))
-    return d1 / d0
 
 
 @dataclass(frozen=True)

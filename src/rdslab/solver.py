@@ -14,10 +14,12 @@ delay the recursion is
 
     v_{k+1} = S(dt) v_k + dt * S(dt/2) [ eps Disp f(v_{k-m} + Z_{k-m}) + Q_k ]
 
-where Z_k and Q_k are the noise field and its Laplacian on the lattice.
-The S(dt/2) factor is the midpoint weighting of the Duhamel integral; the
-forcing itself is read at the left lattice point because the driving path
-exists only on the lattice.  The scheme is first order in dt.
+where Z_k and Q_k are the noise field and its Laplacian on the lattice,
+both from :meth:`DelaySolver.noise_series`; the pullback module moves u
+to v and back with those same Z rows.  The S(dt/2) factor is the
+midpoint weighting of the Duhamel integral; the forcing itself is read
+at the left lattice point because the driving path exists only on the
+lattice.  The scheme is first order in dt.
 
 Propagator matrices use spline product integration: chaining a step
 matrix thousands of times amplifies any interpolation bias by 1/dt, and
@@ -67,8 +69,6 @@ __all__ = [
     "DelaySolver",
     "contraction_interval",
     "evaluate_feedback",
-    "to_u",
-    "to_v",
 ]
 
 _MODES = ("method-of-steps", "picard")
@@ -102,13 +102,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Lattice of solution fields from t0 - tau through t0 + horizon."""
+    """Lattice of solution fields from -tau through the horizon."""
 
     grid: Grid
     tau: float
     dt: float
     values: np.ndarray
-    t0: float = 0.0
     history_frames: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -122,15 +121,11 @@ class Trajectory:
 
     @property
     def t_end(self) -> float:
-        return self.t0 + (self.values.shape[0] - 1 - self.history_frames) * self.dt
-
-    def times(self) -> np.ndarray:
-        m = self.history_frames
-        return self.t0 + self.dt * (np.arange(self.values.shape[0]) - m)
+        return (self.values.shape[0] - 1 - self.history_frames) * self.dt
 
     def frame_index(self, t: float) -> int:
         m = self.history_frames
-        k = m + lattice_steps(t - self.t0, self.dt, "time after t0", minimum=-m)
+        k = m + lattice_steps(t, self.dt, "trajectory time", minimum=-m)
         if k >= self.values.shape[0]:
             raise ParameterError(f"t = {t} is not a frame time of the trajectory")
         return k
@@ -139,7 +134,7 @@ class Trajectory:
         return Field(self.grid, self.values[self.frame_index(t)])
 
     def segment_at(self, t: float) -> Segment:
-        """History window of length tau ending at lattice time t >= t0."""
+        """History window of length tau ending at lattice time t >= 0."""
         hi = self.frame_index(t)
         if hi < self.history_frames:
             raise ParameterError(f"t = {t} precedes the end of the initial history")
@@ -148,10 +143,6 @@ class Trajectory:
     @property
     def terminal_segment(self) -> Segment:
         return self.segment_at(self.t_end)
-
-    @property
-    def initial_segment(self) -> Segment:
-        return Segment(self.grid, self.tau, self.dt, self.values[: self.history_frames + 1])
 
 
 @dataclass(frozen=True)
@@ -205,7 +196,11 @@ def evaluate_feedback(
 ) -> Field:
     """The delayed forcing eps * Disp[f(delayed state + delayed noise)].
 
-    Vanishes at x = 0 because the dispersal matrix's first row does.
+    Vanishes at x = 0 because the dispersal matrix's first row does.  The
+    step kernel forms this forcing on whole delay blocks; this one-field
+    form is kept as the deliberate cross-check that the fine-quadrature
+    mild-solution oracle and the feedback tests build their expectations
+    from.
     """
     if delayed_field.grid != delayed_noise.grid:
         raise ParameterError("delayed_field and delayed_noise grids differ")
@@ -238,7 +233,7 @@ class DelaySolver:
         self.dispersal = DispersalKernel(params.alpha, grid)
         self._profile_rows = params.profiles.values(grid.nodes)
         self._laplacian_rows = params.profiles.second_derivatives(grid.nodes)
-        self.ou_params = _ou_window(params.mu, cfg.dt)
+        self.ou_params = OUParams(params.mu, default_s_cut(params.mu, cfg.dt))
 
     # -- plumbing -----------------------------------------------------------
 
@@ -265,7 +260,13 @@ class DelaySolver:
         return [Trajectory(self.grid, tau, dt, out[:, b]) for b in range(out.shape[1])]
 
     def noise_series(self, path: WienerPath, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-        """Noise field and Laplacian rows at all frame times -tau .. horizon."""
+        """Noise field and Laplacian rows at all frame times -tau .. horizon.
+
+        The package's one route from a path to noise rows: the step kernel
+        reads them, and the u-runs of :mod:`rdslab.pullback` subtract and
+        add back the field rows.  A row depends only on the base index of
+        its time, so rows read on any shift of the path agree bit for bit.
+        """
         m, n_steps = self.delay_steps, lattice_steps(horizon, self.cfg.dt, "horizon")
         times = self.cfg.dt * (np.arange(m + n_steps + 1) - m)
         z = ou_series(path, self.ou_params, times)
@@ -340,28 +341,3 @@ class DelaySolver:
         report = PicardReport(len(changes), tuple(changes), ratios, converged, horizon)
         return self._trajectories(cur)[0], report
 
-
-def _ou_window(mu: float, dt: float) -> OUParams:
-    """OU window for frames spaced dt.
-
-    The solver and :func:`to_u` / :func:`to_v` all take it from here, so
-    the noise rows removed on entry and added back on exit agree bit for
-    bit even when the path is finer than the frames.
-    """
-    return OUParams(mu, default_s_cut(mu, dt))
-
-
-def _add_noise(traj: Trajectory, params: ModelParams, path: WienerPath, sign: float) -> Trajectory:
-    z = ou_series(path, _ou_window(params.mu, traj.dt), traj.times())
-    rows = noise_rows(params.profiles.values(traj.grid.nodes), z)
-    return Trajectory(traj.grid, traj.tau, traj.dt, traj.values + sign * rows, traj.t0)
-
-
-def to_u(traj: Trajectory, params: ModelParams, path: WienerPath) -> Trajectory:
-    """Reconstruct the original unknown: u(t) = v(t) + noise field at t."""
-    return _add_noise(traj, params, path, 1.0)
-
-
-def to_v(traj: Trajectory, params: ModelParams, path: WienerPath) -> Trajectory:
-    """Invert :func:`to_u` by subtracting the same noise field rows."""
-    return _add_noise(traj, params, path, -1.0)

@@ -37,15 +37,6 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(10.0, 0)
 
 
-def test_grid_index_of():
-    grid = make_grid(10.0, 100)
-    assert grid.index_of(0.0) == 0
-    assert grid.index_of(0.5) == 5
-    assert grid.index_of(10.0) == 100
-    with pytest.raises(ParameterError, match="node"):
-        grid.index_of(0.55 / 2.0)
-
-
 def test_field_validation():
     grid = make_grid(10.0, 100)
     with pytest.raises(ParameterError, match="values"):
@@ -131,9 +122,10 @@ def test_segment_norms():
 
 
 def test_segment_co_norm_vectorised_is_bit_identical():
-    # one frame at a time, summed in n order: the reference the
-    # vectorised norm must reproduce exactly, frame by frame
-    def frame_norm(grid, row, n_max):
+    # one frame at a time, summed in n order up to ceil(L): the reference
+    # the vectorised norm must reproduce exactly, frame by frame
+    def frame_norm(grid, row):
+        n_max = math.ceil(grid.length)
         prefix = np.maximum.accumulate(np.abs(row))
         total = 0.0
         for n in range(1, n_max + 1):
@@ -142,15 +134,14 @@ def test_segment_co_norm_vectorised_is_bit_identical():
         return float(total + 2.0 ** (-n_max) * prefix[-1])
 
     rng = np.random.default_rng(21)
-    for length, n_cells, n_max in ((10.0, 100, None), (7.3, 37, 4), (20.0, 200, 30)):
+    for length, n_cells in ((10.0, 100), (7.3, 37), (20.0, 200), (0.5, 10)):
         grid = make_grid(length, n_cells)
-        depth = default_n_max(grid) if n_max is None else n_max
         for frames in (2, 6, 11):
             values = rng.standard_normal((frames, n_cells + 1)) * 10.0 ** rng.uniform(-3, 3, (frames, 1))
             seg = Segment(grid, 0.1 * (frames - 1), 0.1, values)
-            got = segment_co_norm(seg, n_max)
-            assert got == max(compact_open_norm(seg.frame(k), n_max) for k in range(frames))
-            assert got == max(frame_norm(grid, row, depth) for row in values)
+            got = segment_co_norm(seg)
+            assert got == max(compact_open_norm(seg.frame(k)) for k in range(frames))
+            assert got == max(frame_norm(grid, row) for row in values)
 
 
 def test_segment_validation():

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf, erfc
 
 from rdslab.errors import ParameterError
-from rdslab.grid import Field, make_grid, sup_norm
+from rdslab.grid import make_grid
 from rdslab.kernel import DispersalKernel, KernelParams, kernel_value, tail_mass
 
 
@@ -96,15 +96,3 @@ def test_tail_mass_quantifies_truncation():
     expected = 0.5 * (erfc((20.0 - x) / s) - erfc((20.0 + x) / s))
     assert tail_mass(p, grid) == pytest.approx(expected, rel=1e-10)
     assert tail_mass(p, grid) > 1e-6  # why the wide-kernel erf check needs L = 40
-
-
-def test_apply_dispersal_field_roundtrip():
-    grid = make_grid(20.0, 200)
-    f = Field.from_function(grid, lambda x: np.sin(x) * np.exp(-x / 3.0))
-    op = DispersalKernel(KernelParams(1.0), grid)
-    out = op.apply(f)
-    assert out.grid is grid
-    assert np.array_equal(out.values, op.apply_values(f.values))
-    assert out.values[0] == 0.0
-    assert sup_norm(out) <= sup_norm(f) + 1e-12
-

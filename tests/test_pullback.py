@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rdslab.config import parse_config
 from rdslab.errors import ConditionViolatedError, ParameterError
 from rdslab.grid import Field, Segment, make_grid, segment_co_norm, sup_norm
 from rdslab.model import ModelParams, Nonlinearity, default_profiles
@@ -20,10 +21,9 @@ from rdslab.pullback import (
     pullback_bound,
     pullback_conjugated,
     pullback_state,
-    time_one_contraction,
     transient_envelope,
 )
-from rdslab.solver import DelaySolver, SolverConfig, Trajectory, to_u, to_v
+from rdslab.solver import DelaySolver, SolverConfig
 
 GRID = make_grid(20.0, 200)
 
@@ -152,6 +152,20 @@ def test_pullback_bound_holds_on_sample_runs():
         assert run.field_sup <= limit + 1e-4
 
 
+def test_pullback_bound_scales_the_feedback_bound_by_epsilon():
+    # the absorbing gate admits eps = 1.2 (1.2 e^{0.5} < mu = 2), and the
+    # v-forcing is then bounded by eps * M, not M: with sup |psi(0)| = 0.3,
+    # M = 1 and c * r_hat = 0.5 the bound is 0.3 + (1.2 + 0.5) * 2 / 2 = 2.0
+    spec = parse_config("experiment = absorbing\nseed = 1\nepsilon = 1.2\n")
+    params = spec.model_params()
+    assert params.epsilon == 1.2 and params.nonlinearity.bound == 1.0 and params.mu == 2.0
+    peak = Field.from_function(GRID, lambda x: 0.3 * x * np.exp(1.0 - x))
+    psi = Segment.constant(peak, params.tau, spec["dt"])
+    assert sup_norm(peak) == pytest.approx(0.3, abs=1e-15)
+    consts = DerivedConstants(c=0.5, r_hat=1.0, c1=0.0)
+    assert pullback_bound(params, consts, psi) == pytest.approx(2.0, abs=1e-14)
+
+
 # ------------------------------------------------------------------- cocycle
 
 
@@ -204,43 +218,6 @@ def test_cocycle_residual_validates_lattice():
 
 
 # ------------------------------------------------------ fixed-point estimate
-
-
-def test_time_one_contraction_linear_flow():
-    # zero noise, zero feedback: ratio collapses to the semigroup decay,
-    # comfortably below the e^{mu (tau - 1)} envelope
-    params = ModelParams(
-        mu=3.0, epsilon=0.0, alpha=1.0, tau=0.5,
-        nonlinearity=Nonlinearity("zero"), profiles=default_profiles(1),
-    )
-    dt = 0.01
-    solver = DelaySolver(GRID, params, SolverConfig(dt))
-    path = zero_wiener(1, -20.0, 1.0, dt)
-    phi1 = Segment.constant(Field.from_function(GRID, lambda x: x * np.exp(-x)), params.tau, dt)
-    phi2 = Segment(GRID, params.tau, dt, 2.0 * phi1.values)
-    ratio = time_one_contraction(solver, phi1, phi2, path)
-    assert ratio <= np.exp(params.mu * (params.tau - 1.0)) + 0.05
-
-
-def test_time_one_contraction_under_fixedpoint_regime():
-    params = fixedpoint_params()
-    dt = 0.01
-    solver = DelaySolver(GRID, params, SolverConfig(dt))
-    path = sample_wiener(1, -40.0, 1.0, dt, seed=8)
-    phi1 = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
-    phi2 = Segment.from_function(GRID, params.tau, dt, lambda xi, x: np.sin(x) * np.exp(-x / 2))
-    ratio = time_one_contraction(solver, phi1, phi2, path)
-    assert ratio <= params.unit_contraction_factor + 0.05
-
-
-def test_time_one_contraction_rejects_identical_data():
-    params = fixedpoint_params()
-    dt = 0.01
-    solver = DelaySolver(GRID, params, SolverConfig(dt))
-    path = sample_wiener(1, -40.0, 1.0, dt, seed=9)
-    phi = Segment.constant(Field.from_function(GRID, lambda x: x * np.exp(-x)), params.tau, dt)
-    with pytest.raises(ParameterError, match="identical"):
-        time_one_contraction(solver, phi, phi, path)
 
 
 def test_fixed_point_estimate_contracts_and_is_stationary():
@@ -306,22 +283,18 @@ def test_advance_state_continues_the_flow():
 
 
 def test_conjugation_rows_share_one_ou_window():
-    # With the path finer than the frames, the noise rows subtracted on
-    # [-tau, 0] on entry and the rows to_u adds back there must still come
-    # from one OU window, bit for bit.
+    # With the path finer than the frames, the rows subtracted on [-tau, 0]
+    # on entry and the rows added back on exit come from the solver's one
+    # OU window, bit for bit: a zero u-history comes back as exact zeros
+    # at t = 0.
     params = fixedpoint_params()
     dt, dt_path = 0.01, 0.005
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(1, -30.0, 1.0, dt_path, seed=14)
-    m = solver.delay_steps
-    subtracted = solver.noise_series(path, dt)[0][: m + 1]
-    zero_v = Trajectory(GRID, params.tau, dt, np.zeros((m + 1, GRID.n_cells + 1)))
-    added = to_u(zero_v, params, path).values
-    assert np.array_equal(subtracted, added)
-    # a zero u-history comes back as exact zeros at t = 0
     zero_u = Segment.constant(Field.zero(GRID), params.tau, dt)
     state = advance_state(solver, zero_u, path, params.tau)
     assert np.max(np.abs(state.values[0])) == 0.0
+    assert np.max(np.abs(state.values[-1])) > 0.0
 
 
 def test_pullback_state_matches_conjugated_route():
@@ -341,24 +314,27 @@ def test_pullback_state_matches_conjugated_route():
 
 
 def test_terminal_reconstruction_equals_full_trajectory_route():
-    # pullback_state and advance_state add the noise back on the terminal
-    # frames only; a noise row depends on its own time alone, so the result
-    # must equal to_u of the whole run bit for bit, alone and in a batch.
+    # pullback_state and advance_state subtract the solver's rows on
+    # [-tau, 0] and add them back on the terminal frames only; the oracle
+    # reads both from the whole run's rows, so they must agree bit for
+    # bit, alone and in a batch.
     params = ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.5, profiles=default_profiles(2))
     dt, t = 0.01, 2.0
     solver = DelaySolver(GRID, params, SolverConfig(dt))
+    m = solver.delay_steps
     path = sample_wiener(2, -30.0, 0.0, 0.005, seed=15)
     shifted = path.shift(-t)
+    z = solver.noise_series(shifted, t)[0]
     phis = [
         Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x) * (1 + xi))
         for a in (1.0, -0.5)
     ]
 
     def v_history(phi):
-        return to_v(Trajectory(GRID, phi.tau, phi.dt, phi.values), params, shifted).initial_segment
+        return Segment(GRID, phi.tau, phi.dt, phi.values - z[: m + 1])
 
     def full_u(traj):
-        return to_u(traj, params, shifted).terminal_segment.values
+        return (traj.values + z)[-(m + 1) :]
 
     alone = full_u(solver.solve(v_history(phis[0]), shifted, t))
     assert np.array_equal(pullback_state(solver, phis[0], path, t).segment.values, alone)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -11,6 +14,7 @@ from rdslab.grid import Field, Segment, make_grid, sup_norm
 from rdslab.kernel import DispersalKernel, KernelParams
 from rdslab.model import ModelParams, Nonlinearity, default_profiles
 from rdslab.noise import noise_rows, ou_series, sample_wiener, zero_wiener
+from rdslab.pullback import advance_state
 from rdslab.semigroup import DirichletHeatSemigroup
 from rdslab.solver import (
     DelaySolver,
@@ -19,11 +23,10 @@ from rdslab.solver import (
     contraction_interval,
     evaluate_feedback,
     picard_gain,
-    to_u,
-    to_v,
 )
 
 GRID = make_grid(20.0, 200)
+SRC = Path(__file__).resolve().parents[1] / "src" / "rdslab"
 
 
 def quiet_params(mu: float = 1.0, **kw) -> ModelParams:
@@ -224,14 +227,12 @@ def test_trajectory_indexing_contracts():
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: (1 + xi) * x * np.exp(-x))
     path = live_path(params, dt, 0.5, seed=3)
     traj = solver.solve(psi, path, 0.5)
-    assert np.array_equal(traj.initial_segment.values, psi.values)
     assert np.array_equal(traj.segment_at(0.0).values, psi.values)
+    assert np.array_equal(traj.field_at(-params.tau).values, psi.values[0])
     seg = traj.segment_at(0.5)
     assert np.array_equal(seg.values, traj.terminal_segment.values)
     assert np.array_equal(seg.frame(seg.n_frames - 1).values, traj.field_at(0.5).values)
-    times = traj.times()
-    assert times[0] == pytest.approx(-params.tau)
-    assert times[-1] == pytest.approx(0.5)
+    assert traj.t_end == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         traj.field_at(0.505)
 
@@ -242,13 +243,13 @@ def test_trajectory_requires_whole_history_frames_like_segment():
         Segment(grid, 0.1, 0.03, np.zeros((4, 11)))
     with pytest.raises(ParameterError, match="tau"):
         Trajectory(grid, 0.1, 0.03, np.zeros((4, 11)))
-    traj = Trajectory(grid, 0.1, 0.025, np.zeros((7, 11)), t0=1.0)
-    assert traj.history_frames == 4 and traj.t_end == pytest.approx(1.05)
-    assert traj.frame_index(0.9) == 0 and traj.frame_index(1.05) == 6
-    with pytest.raises(ParameterError, match="time after t0"):
-        traj.frame_index(0.875)  # before the history
+    traj = Trajectory(grid, 0.1, 0.025, np.zeros((7, 11)))
+    assert traj.history_frames == 4 and traj.t_end == pytest.approx(0.05)
+    assert traj.frame_index(-0.1) == 0 and traj.frame_index(0.05) == 6
+    with pytest.raises(ParameterError, match="trajectory time -0.125 is below -4 steps"):
+        traj.frame_index(-0.125)  # before the history
     with pytest.raises(ParameterError, match="frame time"):
-        traj.frame_index(1.075)  # past the end
+        traj.frame_index(0.075)  # past the end
 
 
 def test_all_frames_dirichlet():
@@ -410,34 +411,71 @@ def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon):
     assert np.array_equal(traj.values, _frame_by_frame(picard, [psi], path, horizon)[:, 0])
 
 
-# ----------------------------------------------------- conjugation to_u/to_v
+# ------------------------------------------------------------- conjugation
 
 
 def test_u_v_roundtrip_and_dirichlet():
+    # advance_state moves u to v with the solver's own noise rows and back:
+    # u - rows on the terminal frames is the v-run from phi - rows on entry
     params = live_params(mu=1.0, epsilon=1.0, tau=0.1, profiles=default_profiles(2))
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
-    psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
+    phi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
     path = live_path(params, dt, 0.5, seed=7)
-    v = solver.solve(psi, path, 0.5)
-    u = to_u(v, params, path)
-    back = to_v(u, params, path)
-    assert np.max(np.abs(back.values - v.values)) <= 1e-12
+    m = solver.delay_steps
+    z = solver.noise_series(path, 0.5)[0]
+    u = advance_state(solver, phi, path, 0.5)
+    v_entry = Segment(GRID, params.tau, dt, phi.values - z[: m + 1])
+    v = solver.solve(v_entry, path, 0.5).terminal_segment
+    assert np.max(np.abs(u.values - z[-(m + 1) :] - v.values)) <= 1e-12
     # noise profiles vanish at 0, so u inherits the boundary condition
     assert np.max(np.abs(u.values[:, 0])) == 0.0
     # u really differs from v (noise is on)
     assert np.max(np.abs(u.values - v.values)) > 1e-3
 
 
-def test_to_u_zero_noise_is_identity():
+def test_zero_noise_conjugation_is_identity():
     params = quiet_params(epsilon=0.0)
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     psi = Segment.constant(Field.from_function(GRID, lambda x: x * np.exp(-x)), params.tau, dt)
     path = quiet_path(params, dt, 0.3)
-    v = solver.solve(psi, path, 0.3)
-    u = to_u(v, params, path)
-    assert np.array_equal(u.values, v.values)
+    u = advance_state(solver, psi, path, 0.3)
+    assert np.array_equal(u.values, solver.solve(psi, path, 0.3).terminal_segment.values)
+
+
+def test_noise_series_rows_depend_only_on_their_time():
+    # the u-runs read the exit rows on the shifted path: they must be the
+    # whole run's rows bit for bit, also when the path is finer than dt
+    params = live_params(tau=0.1, profiles=default_profiles(2))
+    dt = 0.02
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = live_path(params, 0.01, 0.5, seed=8)
+    m = solver.delay_steps
+    whole = solver.noise_series(path, 0.5)
+    for k in (0, 1, 13, 25):
+        part = solver.noise_series(path.shift(k * dt), 0.0)
+        for rows, all_rows in zip(part, whole):
+            assert np.array_equal(rows, all_rows[k : k + m + 1])
+
+
+def _callers(name: str) -> set[str]:
+    """'module:function' for every function in the package that calls name."""
+    found = set()
+    for module in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(fn):
+                    func = getattr(call, "func", None)
+                    if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                        found.add(f"{module.stem}:{fn.name}")
+    return found
+
+
+def test_only_noise_series_builds_noise_rows():
+    # one route from a path and its profiles to noise rows: the step kernel
+    # and the pullback u-runs both read DelaySolver.noise_series
+    assert _callers("noise_rows") == {"solver:noise_series"}
 
 
 # ------------------------------------------------- quantitative structure

@@ -5,7 +5,9 @@ and its hooks read call arguments by parameter name.  A refactor that
 renames one of them does not fail the program, it silently makes a
 traced benchmark run report ``correct: false``.  This test reads that
 file as text (it imports and edits nothing there) and checks every
-target and every argument name a hook reads against the package.
+target and every argument name a hook reads against the package, and
+every attribute a hook reads off a solver, trajectory, report or segment
+against one tiny real call of each traced function.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rdslab.grid import Segment, make_grid, segment_co_norm
+from rdslab.model import ModelParams, default_profiles
+from rdslab.noise import sample_wiener
+from rdslab.solver import DelaySolver, SolverConfig
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -52,7 +60,34 @@ def _resolve(target: str):
     return getattr(holder, attr, None) if holder is not None else None
 
 
+def _hook_attributes() -> set[str]:
+    """Attribute names the hooks, and the helpers they call, read off their
+    arguments and results (the tracer's own ``tr.`` attributes excluded)."""
+    tree = ast.parse(LAYERTRACE.read_text(encoding="utf-8"))
+    funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    todo, seen = [hook for _, hook in WRAPPERS if hook], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in funcs:
+            continue
+        seen.add(name)
+        calls = [c for c in ast.walk(funcs[name]) if isinstance(c, ast.Call)]
+        todo += [c.func.id for c in calls if isinstance(c.func, ast.Name)]
+    attrs = set()
+    for name in seen:
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, (ast.Attribute, ast.Subscript)):
+                    root = root.value
+                if getattr(root, "id", None) != "tr":
+                    attrs.add(node.attr)
+    return attrs
+
+
 WRAPPERS, HOOK_READS = _wrappers()
+# Every attribute a hook reads, checked on real calls below.
+CHECKED_ATTRIBUTES = {"cfg", "mode", "values", "shape", "history_frames", "iterations", "n_frames"}
 
 
 def test_layertrace_declares_wrappers():
@@ -70,3 +105,32 @@ def test_trace_target_resolves_with_hook_arguments(target, hook):
     params = inspect.signature(fn).parameters
     missing = HOOK_READS.get(hook, set()) - set(params)
     assert not missing, f"hook {hook} reads {sorted(missing)}, absent from {target}{inspect.signature(fn)}"
+
+
+def test_hook_attribute_reads_are_all_checked():
+    reads = _hook_attributes()
+    assert {"mode", "history_frames"} <= reads, "the attribute scan no longer sees the hooks"
+    unchecked = reads - CHECKED_ATTRIBUTES
+    assert not unchecked, f"hooks read {sorted(unchecked)}; check them on a real call below"
+
+
+def test_hook_attributes_resolve_on_real_calls():
+    grid = make_grid(1.0, 10)
+    params = ModelParams(mu=1.0, epsilon=0.5, alpha=1.0, tau=0.1, profiles=default_profiles(1))
+    dt, horizon = 0.05, 0.2
+    path = sample_wiener(1, -41.0, horizon, dt, seed=1)
+    psi = Segment.from_function(grid, params.tau, dt, lambda xi, x: x * np.exp(-x))
+    steps = DelaySolver(grid, params, SolverConfig(dt))
+    picard = DelaySolver(grid, params, SolverConfig(dt, mode="picard"))
+    # _solve_steps tells the two modes apart by args["self"].cfg.mode
+    assert steps.cfg.mode == "method-of-steps" and picard.cfg.mode == "picard"
+    traj = steps.solve(psi, path, horizon)
+    picard_traj, report = picard.picard_solve(psi, path, horizon)
+    # _trajectory_steps: frames after the history, from values and history_frames
+    for t in (traj, picard_traj):
+        assert t.values.shape[0] - 1 - t.history_frames == 4
+    # _picard_steps: sweeps from report.iterations
+    assert isinstance(report.iterations, int) and report.iterations >= 1
+    # _co_norm_frames: frames of the segment passed to segment_co_norm
+    seg = traj.terminal_segment
+    assert segment_co_norm(seg) > 0.0 and seg.n_frames == 3
