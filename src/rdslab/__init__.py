@@ -44,7 +44,6 @@ from .grid import (
     compact_open_norm,
     make_grid,
     segment_co_norm,
-    segment_sup_norm,
     sup_norm,
 )
 from .kernel import DispersalKernel, KernelParams, kernel_value, tail_mass
@@ -94,7 +93,6 @@ __all__ = [
     "compact_open_norm",
     "make_grid",
     "segment_co_norm",
-    "segment_sup_norm",
     "sup_norm",
     "DispersalKernel",
     "KernelParams",

@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        spec = parse_config(_read_config(args.config))
+        spec = parse_config(_read_config(args.config), seed=getattr(args, "seed", None))
     except RdsLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -78,13 +78,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{key} = {spec.values[key]}")
         return 0
 
-    if args.seed is not None and args.seed < 0:
-        print("error: key 'seed' must be nonnegative", file=sys.stderr)
-        return 2
-
     out_dir = args.out if args.out is not None else os.environ.get(OUT_DIR_ENV, ".")
     try:
-        result = run_experiment(spec, seed=args.seed)
+        result = run_experiment(spec)
     except RdsLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -184,12 +184,14 @@ def _validate_conditions(spec: ExperimentSpec) -> None:
             lattice_steps(step, spec["dt_ref"], f"{label} (in steps of dt_ref)", minimum=2)
 
 
-def parse_config(text: str) -> ExperimentSpec:
+def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
     """Parse and validate a flat key = value configuration.
 
-    Raises ParameterError naming the offending key for unknown, missing,
-    duplicated, or malformed entries, and ConditionViolatedError when the
-    chosen experiment's structural parameter conditions fail.
+    A given ``seed`` replaces the file's seed, which the file must still
+    name, and is validated with the other values.  Raises ParameterError
+    naming the offending key for unknown, missing, duplicated, or
+    malformed entries, and ConditionViolatedError when the chosen
+    experiment's structural parameter conditions fail.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -228,6 +230,8 @@ def parse_config(text: str) -> ExperimentSpec:
         if default is _REQUIRED:
             raise ParameterError(f"missing required key {key!r} for experiment {name!r}")
         values[key] = default
+    if seed is not None:
+        values["seed"] = seed
 
     spec = ExperimentSpec(name, values)
     _validate_ranges(values)

@@ -21,7 +21,7 @@ from scipy.special import erf
 
 from .config import ExperimentSpec
 from .errors import ParameterError
-from .grid import Field, Segment, segment_co_norm
+from .grid import Field, Segment, segment_co_norm, sup_norm
 from .kernel import DispersalKernel, KernelParams, tail_mass
 from .noise import (
     OUParams,
@@ -410,8 +410,8 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
         by_depth = [pullback_conjugated(solver, segments, path, t) for t in times]
         for j, (segment, runs) in enumerate(zip(segments, zip(*by_depth))):
             sup_limit = pullback_bound(params, consts, segment)
-            bound_excess = max(bound_excess, max(r.field_sup for r in runs) - sup_limit)
-            norms = [r.segment_co for r in runs]
+            bound_excess = max(bound_excess, max(sup_norm(seg.frame(-1)) for seg in runs) - sup_limit)
+            norms = [segment_co_norm(seg) for seg in runs]
             entry = next((k for k, v in enumerate(norms) if v <= radius), None)
             if entry is None:
                 entry_time = float("nan")
@@ -522,12 +522,8 @@ _RUNNERS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, seed: int | None = None) -> ExperimentResult:
-    """Run the named experiment, optionally overriding the seed."""
-    if seed is not None:
-        values = dict(spec.values)
-        values["seed"] = seed
-        spec = ExperimentSpec(spec.experiment, values)
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run the named experiment."""
     runner = _RUNNERS.get(spec.experiment)
     if runner is None:
         raise ParameterError(f"unknown experiment {spec.experiment!r}")

@@ -32,7 +32,6 @@ __all__ = [
     "make_grid",
     "sup_norm",
     "compact_open_norm",
-    "segment_sup_norm",
     "segment_co_norm",
     "default_n_max",
     "lattice_steps",
@@ -265,11 +264,6 @@ class Segment:
         xis = -tau + dt * np.arange(m + 1)
         rows = [np.asarray(fn(xi, grid.nodes), dtype=float) for xi in xis]
         return cls(grid, tau, dt, np.vstack(rows))
-
-
-def segment_sup_norm(s: Segment) -> float:
-    """Sup over frames of the field sup norm."""
-    return float(np.max(np.abs(s.values)))
 
 
 def segment_co_norm(s: Segment) -> float:

@@ -5,7 +5,9 @@ ever earlier along the backward-shifted driver: the state observed is
 Φ(t, shift(-t) w, data).  As t grows the observed state forgets its data
 and settles onto a random quantity attached to the path alone — the
 random stationary state — provided the decay rate beats the delayed
-feedback.  Runs of the original state u subtract on entry, and add back
+feedback.  A pullback run returns its terminal segment, the history
+window [-tau, 0] at observation time 0; callers take the norms they need
+from it.  Runs of the original state u subtract on entry, and add back
 on exit, the field rows of :meth:`DelaySolver.noise_series`, the one
 route from a path to noise rows.
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolatedError, ParameterError
-from .grid import Grid, Segment, lattice_steps, segment_co_norm, segment_sup_norm, sup_norm
+from .grid import Grid, Segment, lattice_steps, segment_co_norm, sup_norm
 from .model import ModelParams
 from .noise import OUParams, WienerPath, default_s_cut, empirical_decay_bound
 from .solver import DelaySolver
@@ -48,7 +50,6 @@ __all__ = [
     "pullback_bound",
     "absorbing_radius",
     "transient_envelope",
-    "PullbackRun",
     "pullback_conjugated",
     "pullback_state",
     "advance_state",
@@ -64,16 +65,14 @@ class DerivedConstants:
 
     c combines the noise-profile magnitudes as in the module docstring;
     r_hat is the empirical windowed growth constant of the stationary
-    noise; c1 absorbs whatever transient the decay estimate does not
-    cover (measured from runs; 0 when the runs show no excess).
+    noise.
     """
 
     c: float
     r_hat: float
-    c1: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c", "r_hat", "c1"):
+        for name in ("c", "r_hat"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ParameterError(f"{name} must be nonnegative and finite, got {v!r}")
@@ -92,14 +91,13 @@ def derived_constants(
     grid: Grid,
     path: WienerPath,
     window_lo: float,
-    c1: float = 0.0,
 ) -> DerivedConstants:
     """Measure r_hat on [window_lo, 0] and size c accordingly."""
     oup = OUParams(params.mu, default_s_cut(params.mu, path.dt_knot))
     r_hat = empirical_decay_bound(path, oup, window_lo, 0.0)
     base = profile_constant(params, grid)
     c = base * max(1.0, r_hat ** -0.5) if r_hat > 0 else base
-    return DerivedConstants(c=c, r_hat=r_hat, c1=c1)
+    return DerivedConstants(c=c, r_hat=r_hat)
 
 
 def pullback_bound(params: ModelParams, consts: DerivedConstants, psi: Segment) -> float:
@@ -134,7 +132,7 @@ def absorbing_radius(params: ModelParams, consts: DerivedConstants) -> float:
         * math.exp(-growth)
         * consts.r_hat
     )
-    return head + tail + consts.c1
+    return head + tail
 
 
 def transient_envelope(params: ModelParams, initial_norm: float, t: float) -> float:
@@ -145,27 +143,6 @@ def transient_envelope(params: ModelParams, initial_norm: float, t: float) -> fl
 
 
 # -- pullback runs -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PullbackRun:
-    """Terminal observation of one pullback integration."""
-
-    pullback_time: float
-    segment: Segment
-    field_sup: float
-    segment_sup: float
-    segment_co: float
-
-
-def _run_norms(t: float, seg: Segment) -> PullbackRun:
-    return PullbackRun(
-        pullback_time=t,
-        segment=seg,
-        field_sup=float(np.max(np.abs(seg.values[-1]))),
-        segment_sup=segment_sup_norm(seg),
-        segment_co=segment_co_norm(seg),
-    )
 
 
 def _check_pullback_time(solver: DelaySolver, t: float) -> None:
@@ -188,16 +165,15 @@ def _one_or_all(psi: Segment | Sequence[Segment], results: list):
 
 def pullback_conjugated(
     solver: DelaySolver, psi: Segment | Sequence[Segment], path: WienerPath, t: float
-) -> PullbackRun | list[PullbackRun]:
-    """Pullback run of the conjugated field v from fixed history psi.
+) -> Segment | list[Segment]:
+    """Terminal segment of the pullback run of the conjugated field v from
+    fixed history psi.
 
-    A sequence of histories is advanced as one batch and gives one run
-    per member, in order.
+    A sequence of histories is advanced as one batch and gives one
+    segment per member, in order.
     """
     _check_pullback_time(solver, t)
-    return _one_or_all(
-        psi, [_run_norms(t, seg) for seg in _terminal_segments(solver, psi, path.shift(-t), t)]
-    )
+    return _one_or_all(psi, _terminal_segments(solver, psi, path.shift(-t), t))
 
 
 def _reconstruct(
@@ -221,17 +197,16 @@ def _reconstruct(
 
 def pullback_state(
     solver: DelaySolver, phi: Segment | Sequence[Segment], path: WienerPath, t: float
-) -> PullbackRun | list[PullbackRun]:
-    """Pullback run of the original state u from history phi.
+) -> Segment | list[Segment]:
+    """Terminal segment of the pullback run of the original state u from
+    history phi.
 
     Subtracts the solver's noise rows on the initial window of the
     shifted path, integrates v, and adds the rows back on exit.  A
-    sequence of histories is advanced as one batch, one run per member.
+    sequence of histories is advanced as one batch, one segment per member.
     """
     _check_pullback_time(solver, t)
-    return _one_or_all(
-        phi, [_run_norms(t, seg) for seg in _reconstruct(solver, phi, path.shift(-t), t)]
-    )
+    return _one_or_all(phi, _reconstruct(solver, phi, path.shift(-t), t))
 
 
 def advance_state(
@@ -242,6 +217,11 @@ def advance_state(
 
 
 # -- structural checks --------------------------------------------------------
+
+
+def _co_distance(a: Segment, b: Segment) -> float:
+    """Segment co-norm of the frame-by-frame difference a - b."""
+    return segment_co_norm(Segment(a.grid, a.tau, a.dt, a.values - b.values))
 
 
 def cocycle_residual(
@@ -262,9 +242,7 @@ def cocycle_residual(
     direct = solver.solve(psi, path, s + t).terminal_segment
     first = solver.solve(psi, path, s).terminal_segment
     second = solver.solve(first, path.shift(s), t).terminal_segment
-    return segment_co_norm(
-        Segment(psi.grid, psi.tau, psi.dt, direct.values - second.values)
-    )
+    return _co_distance(direct, second)
 
 
 @dataclass(frozen=True)
@@ -327,36 +305,18 @@ def fixed_point_estimate(
     count = lattice_steps(horizon, step, "horizon", minimum=3)
     times = step * np.arange(1, count + 1)
     # One batch per depth: both histories share the path and the horizon.
-    runs1, runs2 = zip(*(pullback_state(solver, [phi1, phi2], path, t) for t in times))
-    pair = np.array(
-        [
-            segment_co_norm(
-                Segment(phi1.grid, phi1.tau, phi1.dt, a.segment.values - b.segment.values)
-            )
-            for a, b in zip(runs1, runs2)
-        ]
-    )
-    succ = np.array(
-        [
-            segment_co_norm(
-                Segment(phi1.grid, phi1.tau, phi1.dt, a.segment.values - b.segment.values)
-            )
-            for a, b in zip(runs1[:-1], runs1[1:])
-        ]
-    )
-    limit = runs1[-1].segment
+    segs1, segs2 = zip(*(pullback_state(solver, [phi1, phi2], path, t) for t in times))
+    pair = np.array([_co_distance(a, b) for a, b in zip(segs1, segs2)])
+    limit = segs1[-1]
     # Independent estimate at the unit-shifted path, then one-unit advance.
     prev = pullback_state(solver, phi2, path.shift(-1.0), float(times[-1] - 1.0))
-    advanced = advance_state(solver, prev.segment, path.shift(-1.0), 1.0)
-    gap = segment_co_norm(
-        Segment(phi1.grid, phi1.tau, phi1.dt, advanced.values - limit.values)
-    )
+    advanced = advance_state(solver, prev, path.shift(-1.0), 1.0)
     return FixedPointReport(
         times=tuple(float(t) for t in times),
         pair_distances=tuple(float(d) for d in pair),
-        successive_distances=tuple(float(d) for d in succ),
+        successive_distances=tuple(_co_distance(a, b) for a, b in zip(segs1[:-1], segs1[1:])),
         unit_factor=_fit_unit_factor(times, pair),
         limit_segment=limit,
-        stationarity_gap=gap,
+        stationarity_gap=_co_distance(advanced, limit),
         condition_ok=solver.params.contraction_condition,
     )

@@ -153,7 +153,6 @@ class PicardReport:
     changes: tuple[float, ...]
     ratios: tuple[float, ...]
     converged: bool
-    horizon: float
 
     @property
     def max_ratio(self) -> float:
@@ -240,16 +239,19 @@ class DelaySolver:
     def _frames(self, psis: Sequence[Segment], path: WienerPath, horizon: float) -> np.ndarray:
         """Check a batch against the solver and the path; return its
         (frames, B, nodes) stack with the histories on the first m + 1 frames."""
+        m = self.delay_steps
         for psi in psis:
             if psi.grid != self.grid:
                 raise ParameterError("initial segment grid does not match solver grid")
-            if abs(psi.tau - self.params.tau) > 1e-9 * max(1.0, self.params.tau):
-                raise ParameterError(f"initial segment tau = {psi.tau} differs from model tau")
-            if abs(psi.dt - self.cfg.dt) > 1e-9 * self.cfg.dt:
+            # A Segment holds tau/dt + 1 frames by the lattice rule, so one
+            # step of dt and m + 1 frames pin both dt and tau.
+            if lattice_steps(psi.dt, self.cfg.dt, "initial segment dt") != 1:
                 raise ParameterError(f"initial segment dt = {psi.dt} differs from solver dt")
+            if psi.n_frames != m + 1:
+                raise ParameterError(f"initial segment tau = {psi.tau} differs from model tau")
             psi.require_dirichlet("initial segment")
         lattice_steps(self.cfg.dt, path.dt_knot, "solver dt (in path steps)", minimum=1)
-        m, n = self.delay_steps, lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
+        n = lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
         out = np.empty((m + n + 1, len(psis), self.grid.n_cells + 1))
         for b, psi in enumerate(psis):
             out[: m + 1, b] = psi.values
@@ -338,6 +340,6 @@ class DelaySolver:
                 break
         converged = changes[-1] <= self.cfg.picard_tol
         ratios = tuple(b / a for a, b in zip(changes, changes[1:]) if a > 0.0)
-        report = PicardReport(len(changes), tuple(changes), ratios, converged, horizon)
+        report = PicardReport(len(changes), tuple(changes), ratios, converged)
         return self._trajectories(cur)[0], report
 

@@ -215,6 +215,24 @@ def test_cli_seed_override_changes_rows(tmp_path):
     assert read(out_a) == read(out_c)
 
 
+def test_seed_override_is_validated_like_the_file_seed():
+    text = "experiment = kernel-bound\nseed = 7\n"
+    assert parse_config(text, seed=8)["seed"] == 8
+    with pytest.raises(ParameterError, match="seed"):
+        parse_config(text, seed=-1)
+    # the file must still name a seed
+    with pytest.raises(ParameterError, match="missing required key 'seed'"):
+        parse_config("experiment = kernel-bound\n", seed=8)
+
+
+def test_cli_negative_seed_override_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, "a.cfg", "experiment = kernel-bound\nseed = 7\ntrials = 5\n")
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out_dir), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_unwritable_output(tmp_path, capsys):
     cfg = _write(tmp_path, "a.cfg", "experiment = kernel-bound\nseed = 7\ntrials = 5\n")
     blocker = tmp_path / "blocker"

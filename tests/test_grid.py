@@ -15,7 +15,6 @@ from rdslab.grid import (
     default_n_max,
     make_grid,
     segment_co_norm,
-    segment_sup_norm,
     sup_norm,
 )
 
@@ -113,9 +112,6 @@ def test_segment_constant():
 def test_segment_norms():
     grid = make_grid(10.0, 100)
     seg = Segment.from_function(grid, 0.2, 0.1, lambda xi, x: (1 + xi) * np.sin(x))
-    assert segment_sup_norm(seg) == pytest.approx(
-        max(sup_norm(seg.frame(k)) for k in range(seg.n_frames))
-    )
     assert segment_co_norm(seg) == pytest.approx(
         max(compact_open_norm(seg.frame(k)) for k in range(seg.n_frames))
     )

@@ -41,19 +41,19 @@ def fixedpoint_params() -> ModelParams:
 
 def test_absorbing_radius_frozen_oracle():
     # independent recomputation of the closed form at
-    # mu=2, tau=0.25, eps=lip=1, c=1, r_hat=1, c1=0:
+    # mu=2, tau=0.25, eps=lip=1, c=1, r_hat=1:
     #   g = e^{0.5}; radius = 2 e^{0.5} + (g/(2-g)) e^{-g}
     #            = 3.2974425414002564 + 4.6934844987231905 * 0.1922956455479649
     #            = 4.199979172951599  (recomputed independently by hand)
     params = absorbing_params()
-    consts = DerivedConstants(c=1.0, r_hat=1.0, c1=0.0)
+    consts = DerivedConstants(c=1.0, r_hat=1.0)
     assert absorbing_radius(params, consts) == pytest.approx(4.199979172951599, abs=1e-14)
 
 
 def test_absorbing_radius_zero_noise_reduction():
     params = absorbing_params()
-    consts = DerivedConstants(c=1.0, r_hat=0.0, c1=0.7)
-    assert absorbing_radius(params, consts) == pytest.approx(0.7)
+    consts = DerivedConstants(c=1.0, r_hat=0.0)
+    assert absorbing_radius(params, consts) == 0.0
 
 
 def test_absorbing_radius_refuses_when_condition_fails():
@@ -64,7 +64,7 @@ def test_absorbing_radius_refuses_when_condition_fails():
 
 def test_absorbing_radius_monotonicity_and_blowup():
     base = absorbing_params()
-    c = DerivedConstants(c=1.0, r_hat=1.0, c1=0.0)
+    c = DerivedConstants(c=1.0, r_hat=1.0)
     r1 = absorbing_radius(base, c)
     # increasing in r_hat
     assert absorbing_radius(base, DerivedConstants(c=1.0, r_hat=2.0)) > r1
@@ -84,7 +84,6 @@ def test_derived_constants_from_path():
     assert consts.r_hat > 0
     base = profile_constant(params, GRID)
     assert consts.c >= base  # noise-floor guard only enlarges c
-    assert consts.c1 == 0.0
 
 
 def test_transient_envelope():
@@ -110,12 +109,12 @@ def test_pullback_zero_noise_linear_decay():
     phi = Segment.constant(Field.from_function(GRID, lambda x: x * np.exp(-x)), params.tau, dt)
     prev = None
     for t in (0.5, 1.0, 2.0):
-        run = pullback_conjugated(solver, phi, path, t)
+        seg_sup = float(np.max(np.abs(pullback_conjugated(solver, phi, path, t).values)))
         bound = np.exp(-params.mu * (t - params.tau)) * sup_norm(phi.frame(0))
-        assert run.segment_sup <= bound + 1e-9
+        assert seg_sup <= bound + 1e-9
         if prev is not None:
-            assert run.segment_sup <= prev + 1e-12
-        prev = run.segment_sup
+            assert seg_sup <= prev + 1e-12
+        prev = seg_sup
 
 
 def test_pullback_determinism_bit_identical():
@@ -126,7 +125,7 @@ def test_pullback_determinism_bit_identical():
     phi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
     a = pullback_conjugated(solver, phi, path, 4.0)
     b = pullback_conjugated(solver, phi, path, 4.0)
-    assert np.array_equal(a.segment.values, b.segment.values)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_pullback_time_must_exceed_delay():
@@ -148,8 +147,8 @@ def test_pullback_bound_holds_on_sample_runs():
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: np.sin(x) * x * np.exp(-x))
     limit = pullback_bound(params, consts, psi)
     for t in (2.0, 5.0, 8.0):
-        run = pullback_conjugated(solver, psi, path, t)
-        assert run.field_sup <= limit + 1e-4
+        seg = pullback_conjugated(solver, psi, path, t)
+        assert sup_norm(seg.frame(-1)) <= limit + 1e-4
 
 
 def test_pullback_bound_scales_the_feedback_bound_by_epsilon():
@@ -162,7 +161,7 @@ def test_pullback_bound_scales_the_feedback_bound_by_epsilon():
     peak = Field.from_function(GRID, lambda x: 0.3 * x * np.exp(1.0 - x))
     psi = Segment.constant(peak, params.tau, spec["dt"])
     assert sup_norm(peak) == pytest.approx(0.3, abs=1e-15)
-    consts = DerivedConstants(c=0.5, r_hat=1.0, c1=0.0)
+    consts = DerivedConstants(c=0.5, r_hat=1.0)
     assert pullback_bound(params, consts, psi) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -238,6 +237,33 @@ def test_fixed_point_estimate_contracts_and_is_stationary():
     assert segment_co_norm(report.limit_segment) > 0.0
 
 
+def test_fixed_point_distances_equal_their_oracle():
+    # the report's distances are co-norms of differences of the terminal
+    # segments it computes; recompute every one from the public runs
+    params = fixedpoint_params()
+    dt = 0.01
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = sample_wiener(1, -30.0, 1.0, dt, seed=10)
+    phi1 = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x) * (1 + 0.5 * xi))
+    phi2 = Segment.from_function(GRID, params.tau, dt, lambda xi, x: 2.0 * np.sin(x) * np.exp(-x / 2))
+    report = fixed_point_estimate(solver, phi1, phi2, path, 4.0)
+
+    def dist(a, b):
+        return segment_co_norm(Segment(GRID, params.tau, dt, a.values - b.values))
+
+    depths = (1.0, 2.0, 3.0, 4.0)
+    ends = [pullback_state(solver, [phi1, phi2], path, t) for t in depths]
+    first = [a for a, _ in ends]
+    prev = pullback_state(solver, phi2, path.shift(-1.0), 3.0)
+    advanced = advance_state(solver, prev, path.shift(-1.0), 1.0)
+    assert report.times == depths
+    assert report.pair_distances == tuple(dist(a, b) for a, b in ends)
+    assert report.successive_distances == tuple(dist(first[k], first[k + 1]) for k in range(3))
+    assert report.stationarity_gap == dist(advanced, first[-1])
+    assert np.array_equal(report.limit_segment.values, first[-1].values)
+    assert min(report.pair_distances + report.successive_distances) > 0.0
+
+
 def test_fixed_point_estimate_gates_on_condition():
     weak = ModelParams(mu=1.5, epsilon=1.0, alpha=1.0, tau=0.5, profiles=default_profiles(1))
     dt = 0.01
@@ -306,11 +332,10 @@ def test_pullback_state_matches_conjugated_route():
     path = sample_wiener(1, -30.0, 0.0, dt, seed=13)
     phi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
     t = 4.0
-    run = pullback_state(solver, phi, path, t)
-    assert run.pullback_time == t
-    assert run.segment.values.shape == phi.values.shape
+    seg = pullback_state(solver, phi, path, t)
+    assert seg.values.shape == phi.values.shape
     # Dirichlet boundary survives the conjugation round trip
-    assert np.max(np.abs(run.segment.values[:, 0])) == 0.0
+    assert np.max(np.abs(seg.values[:, 0])) == 0.0
 
 
 def test_terminal_reconstruction_equals_full_trajectory_route():
@@ -337,12 +362,12 @@ def test_terminal_reconstruction_equals_full_trajectory_route():
         return (traj.values + z)[-(m + 1) :]
 
     alone = full_u(solver.solve(v_history(phis[0]), shifted, t))
-    assert np.array_equal(pullback_state(solver, phis[0], path, t).segment.values, alone)
+    assert np.array_equal(pullback_state(solver, phis[0], path, t).values, alone)
     assert np.array_equal(advance_state(solver, phis[0], shifted, t).values, alone)
     batch = solver.solve_batch([v_history(phi) for phi in phis], shifted, t)
-    runs = pullback_state(solver, phis, path, t)
-    for run, traj in zip(runs, batch):
-        assert np.array_equal(run.segment.values, full_u(traj))
+    segs = pullback_state(solver, phis, path, t)
+    for seg, traj in zip(segs, batch):
+        assert np.array_equal(seg.values, full_u(traj))
 
 
 def test_batched_pullback_runs_match_single_runs():
@@ -354,9 +379,9 @@ def test_batched_pullback_runs_match_single_runs():
         Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x))
         for a in (1.0, 4.0, -2.0)
     ]
-    runs = pullback_conjugated(solver, psis, path, 2.0)
-    assert [r.pullback_time for r in runs] == [2.0] * 3
-    for run, psi in zip(runs, psis):
+    segs = pullback_conjugated(solver, psis, path, 2.0)
+    assert len(segs) == 3
+    for seg, psi in zip(segs, psis):
         one = pullback_conjugated(solver, psi, path, 2.0)
-        assert np.max(np.abs(run.segment.values - one.segment.values)) <= 1e-13
-        assert run.segment_co == pytest.approx(one.segment_co, abs=1e-13)
+        assert np.max(np.abs(seg.values - one.values)) <= 1e-13
+        assert segment_co_norm(seg) == pytest.approx(segment_co_norm(one), abs=1e-13)

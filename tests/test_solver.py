@@ -208,6 +208,29 @@ def test_horizon_and_path_checks():
         solver.solve(psi, coarse, 0.3)
 
 
+def test_solver_rejects_histories_off_its_lattice():
+    params = live_params(tau=0.1)
+    dt = 0.01
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = live_path(params, dt, 0.3, seed=1)
+    bump = lambda xi, x: x * np.exp(-x)
+    cases = [
+        (Segment.from_function(GRID, 2 * params.tau, dt, bump), "tau"),
+        (Segment.from_function(GRID, params.tau, 2 * dt, bump), "dt"),
+        (Segment.from_function(GRID, params.tau, dt / 2, bump), "dt"),
+        (Segment.from_function(make_grid(10.0, 100), params.tau, dt, bump), "grid"),
+        (Segment.from_function(GRID, params.tau, dt, lambda xi, x: np.exp(-x)), "x = 0"),
+    ]
+    for psi, named in cases:
+        with pytest.raises(ParameterError, match=named):
+            solver.solve(psi, path, 0.3)
+        with pytest.raises(ParameterError, match=named):
+            solver.solve_batch([Segment.from_function(GRID, params.tau, dt, bump), psi], path, 0.3)
+    # a tau and dt within the lattice tolerance of the solver's are accepted
+    near = Segment.from_function(GRID, params.tau * (1 + 1e-12), dt * (1 + 1e-12), bump)
+    assert solver.solve(near, path, 0.3).t_end == pytest.approx(0.3)
+
+
 def test_path_may_be_finer_than_solver_lattice():
     params = live_params()
     solver = DelaySolver(GRID, params, SolverConfig(0.02))
