@@ -245,6 +245,9 @@ _POSITIVE = ("L", "mu", "alpha", "tau", "dt", "dt_path", "dt_ref", "beta",
              "horizon", "t_max", "co_max", "bound")
 _NONNEGATIVE = ("epsilon", "lipschitz", "seed", "t", "s")
 _POSITIVE_INT = ("N", "trials", "fields", "paths", "segments", "m")
+# Most steps in the OU window, 40 / (mu * step) at the finest time step:
+# the defaults need at most 8,000; a record this long takes 8 MB a path.
+_MAX_WINDOW_STEPS = 10**6
 
 
 def _validate_ranges(values: dict) -> None:
@@ -257,6 +260,12 @@ def _validate_ranges(values: dict) -> None:
     for key in _POSITIVE_INT:
         if key in values and values[key] < 1:
             raise ParameterError(f"key {key!r} must be at least 1, got {values[key]}")
+    steps = [key for key in ("dt_path", "dt", "dt_ref") if key in values]
+    if "mu" in values and steps:
+        key = min(steps, key=values.get)
+        if not values["mu"] * values[key] * _MAX_WINDOW_STEPS >= 40.0:
+            raise ParameterError(f"mu = {values['mu']} and {key} = {values[key]} need an OU "
+                                 f"window of 40 / (mu * {key}) > {_MAX_WINDOW_STEPS} steps")
     frac = values.get("horizon_fraction")
     if frac is not None and not 0.0 < frac <= 1.0:
         raise ParameterError(f"key 'horizon_fraction' must lie in (0, 1], got {frac}")

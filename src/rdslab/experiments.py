@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .config import ExperimentSpec
 from .errors import ParameterError
@@ -41,6 +40,7 @@ from .pullback import (
     pullback_conjugated,
     transient_envelope,
 )
+from .quadrature import erf
 from .semigroup import DirichletHeatSemigroup
 from .solver import DelaySolver, SolverConfig, contraction_interval, picard_gain
 

@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ParameterError
 from .grid import Grid
-from .quadrature import operator_matrix
+from .quadrature import erf, operator_matrix
 
 __all__ = [
     "KernelParams",

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +183,35 @@ def test_cli_overflowing_delay_growth_exits_two(tmp_path, capsys):
         for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):
             assert main([*command, "--config", cfg]) == 2
             assert "e^(mu*tau) overflows" in capsys.readouterr().err
+
+
+WINDOW_CONFIGS = (
+    ("experiment = ou-stats\nseed = 1\nmu = 1e-300\npaths = 2\n", "dt_path = 0.02"),
+    ("experiment = temperedness\nseed = 1\nmu = 1e-300\npaths = 2\n", "dt_path = 0.1"),
+    ("experiment = absorbing\nseed = 1\nmu = 1e-300\nepsilon = 0\n", "dt = 0.025"),
+)
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_cli_unbounded_ou_window_exits_two(tmp_path):
+    # run in a child under a 2 GiB address-space limit, so that a window
+    # that escaped the cap could not take the machine's memory
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for text, step in WINDOW_CONFIGS:
+        cfg = _write(tmp_path, "w.cfg", text)
+        done = subprocess.run(
+            [sys.executable, "-m", "rdslab.cli", "run", "--config", cfg, "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert f"mu = 1e-300 and {step} need an OU window" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

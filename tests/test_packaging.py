@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -31,3 +34,23 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert "absorbing radius:" in out.getvalue() and "sup at time 0:" in out.getvalue()
+
+
+IMPORT_HYGIENE = """
+import sys
+import rdslab
+assert "scipy" not in sys.modules, "import rdslab loaded scipy"
+before = set(sys.modules)
+for text in ("experiment = ou-stats\\nseed = 3\\npaths = 32\\n",
+             "experiment = kernel-bound\\nseed = 3\\ntrials = 5\\n"):
+    rdslab.run_experiment(rdslab.parse_config(text)).csv_text()
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_import_leaves_out_scipy_and_a_run_imports_nothing():
+    # a module imported lazily by a run would be paid inside every timed run
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -11,7 +11,7 @@ import pytest
 
 from rdslab.errors import ParameterError
 from rdslab.grid import make_grid
-from rdslab.quadrature import operator_matrix
+from rdslab.quadrature import _ndtr_pair, _spline_solve, erf, operator_matrix
 from rdslab.semigroup import DirichletHeatSemigroup
 
 
@@ -134,3 +134,47 @@ def test_spline_propagator_row_zero_is_exactly_zero(n_cells):
     semigroup = DirichletHeatSemigroup(make_grid(20.0, n_cells), mu=1.0)
     for t in (0.005, 0.01, 1.0):
         assert np.all(semigroup.operator(t, "spline")[0] == 0.0)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _special_grid() -> np.ndarray:
+    """Dense arguments over |x| <= 60 with each cephes branch point of erf
+    and erfc (|x| = sqrt(1/2), 1, 8, sqrt(MAXLOG)) in erf's argument and in
+    ndtr's (sqrt(2) times as large), their neighbours, +-0 and 1e-300."""
+    edges = np.array([np.sqrt(0.5), 1.0, 8.0, np.sqrt(7.09782712893383996843e2)])
+    edges = np.concatenate([edges, np.sqrt(2.0) * edges, [0.0, 1e-300, 5e-324, 60.0]])
+    near = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    rng = np.random.default_rng(5)
+    x = np.concatenate([near, np.linspace(0.0, 60.0, 200_001), rng.exponential(3.0, 100_000),
+                        np.geomspace(1e-300, 1.0, 20_000)])
+    return np.concatenate([x, -x])
+
+
+def test_erf_is_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    x = _special_grid()
+    assert np.array_equal(_bits(erf(x)), _bits(special.erf(x)))
+    assert _bits(erf(-0.0)) == _bits(-0.0)
+
+
+def test_ndtr_pair_is_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    z = _special_grid()
+    lower, upper = _ndtr_pair(z)
+    assert np.array_equal(_bits(lower), _bits(special.ndtr(z)))
+    assert np.array_equal(_bits(upper), _bits(special.ndtr(-z)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 199, 799])
+@pytest.mark.parametrize("rhs", [1, 2, 7])
+def test_spline_solve_is_solve_banded_bit_for_bit(n, rhs):
+    linalg = pytest.importorskip("scipy.linalg")
+    dx = 20.0 / (n + 1)
+    b = np.random.default_rng(n + rhs).normal(size=(n, rhs))
+    ab = np.empty((3, n))
+    ab[0], ab[1], ab[2] = dx / 6.0, 2.0 * dx / 3.0, dx / 6.0
+    expected = linalg.solve_banded((1, 1), ab, b, check_finite=False)
+    assert np.array_equal(_bits(_spline_solve(b.copy(), dx)), _bits(expected))
