@@ -46,12 +46,11 @@ from .grid import (
     Field,
     Grid,
     Segment,
-    compact_open_norm,
     make_grid,
     segment_co_norm,
     sup_norm,
 )
-from .kernel import DispersalKernel, KernelParams, kernel_value, tail_mass
+from .kernel import DispersalKernel, KernelParams, tail_mass
 from .model import ModelParams, Nonlinearity, default_profiles
 from .noise import (
     NoiseProfiles,
@@ -105,13 +104,11 @@ __all__ = [
     "Field",
     "Grid",
     "Segment",
-    "compact_open_norm",
     "make_grid",
     "segment_co_norm",
     "sup_norm",
     "DispersalKernel",
     "KernelParams",
-    "kernel_value",
     "tail_mass",
     "ModelParams",
     "Nonlinearity",

@@ -245,9 +245,12 @@ _POSITIVE = ("L", "mu", "alpha", "tau", "dt", "dt_path", "dt_ref", "beta",
              "horizon", "t_max", "co_max", "bound")
 _NONNEGATIVE = ("epsilon", "lipschitz", "seed", "t", "s")
 _POSITIVE_INT = ("N", "trials", "fields", "paths", "segments", "m")
-# Most steps in the OU window, 40 / (mu * step) at the finest time step:
-# the defaults need at most 8,000; a record this long takes 8 MB a path.
+# Most steps in the OU window, 40 / (mu * step) at the finest time step,
+# and in the window plus the horizon, (40 / mu + horizon) / step: the
+# defaults need at most 8,000 and 8,200; a record this long takes 8 MB a path.
 _MAX_WINDOW_STEPS = 10**6
+# The keys whose sum is a run's horizon: cocycle runs t + s, the others name one.
+_HORIZONS = ("horizon", "t_max", "t", "s")
 
 
 def _validate_ranges(values: dict) -> None:
@@ -266,6 +269,12 @@ def _validate_ranges(values: dict) -> None:
         if not values["mu"] * values[key] * _MAX_WINDOW_STEPS >= 40.0:
             raise ParameterError(f"mu = {values['mu']} and {key} = {values[key]} need an OU "
                                  f"window of 40 / (mu * {key}) > {_MAX_WINDOW_STEPS} steps")
+        spans = [k for k in _HORIZONS if k in values]
+        record = 40.0 / values["mu"] + sum(values[k] for k in spans)
+        if spans and record / values[key] > _MAX_WINDOW_STEPS:
+            named = ", ".join(f"{k} = {values[k]}" for k in spans)
+            raise ParameterError(f"{named} and {key} = {values[key]} make a record of "
+                                 f"(40 / mu + {' + '.join(spans)}) / {key} > {_MAX_WINDOW_STEPS} steps")
     frac = values.get("horizon_fraction")
     if frac is not None and not 0.0 < frac <= 1.0:
         raise ParameterError(f"key 'horizon_fraction' must lie in (0, 1], got {frac}")

@@ -31,7 +31,6 @@ __all__ = [
     "Segment",
     "make_grid",
     "sup_norm",
-    "compact_open_norm",
     "segment_co_norm",
     "default_n_max",
     "lattice_steps",
@@ -176,11 +175,6 @@ def default_n_max(grid: Grid) -> int:
     return max(1, int(math.ceil(grid.length)))
 
 
-def compact_open_norm(f: Field) -> float:
-    """Weighted compact-open norm of a field, ``0 <= result <= sup_norm(f)``."""
-    return float(_co_norms(f.grid, f.values))
-
-
 def _co_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Compact-open norm of every row of values (last axis = nodes).
 
@@ -239,13 +233,6 @@ class Segment:
 
     def frame(self, k: int) -> Field:
         return Field(self.grid, self.values[k])
-
-    def at(self, xi: float) -> Field:
-        """Field at history offset xi in [-tau, 0] (must be on the frame lattice)."""
-        k = lattice_steps(xi, self.dt, "history offset xi", minimum=1 - self.n_frames)
-        if k > 0:
-            raise ParameterError(f"xi = {xi} is not a frame time of the segment")
-        return self.frame(self.n_frames - 1 + k)
 
     def require_dirichlet(self, what: str = "segment") -> "Segment":
         if np.any(self.values[:, 0] != 0.0):

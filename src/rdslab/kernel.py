@@ -29,7 +29,6 @@ from .quadrature import erf, operator_matrix
 
 __all__ = [
     "KernelParams",
-    "kernel_value",
     "DispersalKernel",
     "tail_mass",
 ]
@@ -44,21 +43,6 @@ class KernelParams:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ParameterError(f"alpha must be positive and finite, got {self.alpha!r}")
-
-
-def kernel_value(p: KernelParams | float, x, y):
-    """Pointwise kernel Gamma(alpha, x, y) for x, y >= 0.
-
-    Vanishes on both axes and is symmetric in (x, y).
-    """
-    alpha = p.alpha if isinstance(p, KernelParams) else KernelParams(float(p)).alpha
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise ParameterError("kernel arguments x, y must be nonnegative")
-    c = (4.0 * np.pi * alpha) ** -0.5
-    out = c * (np.exp(-((x - y) ** 2) / (4.0 * alpha)) - np.exp(-((x + y) ** 2) / (4.0 * alpha)))
-    return out if out.shape else float(out)
 
 
 def tail_mass(p: KernelParams | float, grid: Grid) -> float:

@@ -8,7 +8,7 @@ nonlocal birth term and additive noise:
 The nonlinearity f is odd-symmetric around 0 with f(0) = 0, globally
 Lipschitz with constant ``lipschitz`` and globally bounded by ``bound``.
 
-Three parameter regimes recur downstream and are exposed as flags:
+Two parameter regimes recur downstream and are exposed as flags:
 
 ``absorbing_condition``
     eps * lipschitz * e^{mu tau} < mu.  Under it the pullback dynamics
@@ -18,11 +18,6 @@ Three parameter regimes recur downstream and are exposed as flags:
     solution map contracts initial-data differences at unit-time factor
     e^{mu (tau - 1) + eps * lipschitz} < 1, which forces a unique
     exponentially attracting random stationary solution.
-``fixedpoint_condition``
-    Both of the above.  The contraction flag alone already gives the
-    stationary solution; routines that assert convergence gate on the
-    contraction flag and report this stricter combined flag for
-    diagnostics.
 """
 
 from __future__ import annotations
@@ -166,10 +161,6 @@ class ModelParams:
     @property
     def contraction_condition(self) -> bool:
         return self.tau < 1.0 and self.mu * (1.0 - self.tau) > self.feedback_lipschitz
-
-    @property
-    def fixedpoint_condition(self) -> bool:
-        return self.contraction_condition and self.absorbing_condition
 
     @property
     def unit_contraction_factor(self) -> float:

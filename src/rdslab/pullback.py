@@ -253,9 +253,7 @@ class FixedPointReport:
     pair_distances: tuple[float, ...]
     successive_distances: tuple[float, ...]
     unit_factor: float
-    limit_segment: Segment
     stationarity_gap: float
-    condition_ok: bool
 
 
 def _fit_unit_factor(times: np.ndarray, dists: np.ndarray) -> float:
@@ -279,35 +277,32 @@ def fixed_point_estimate(
     phi2: Segment,
     path: WienerPath,
     horizon: float,
-    step: float = 1.0,
-    enforce_condition: bool = True,
 ) -> FixedPointReport:
     """Estimate the random stationary state by deepening pullback runs.
 
-    Runs both initial histories at pullback times step, 2*step, ...,
-    horizon; reports the distance series between the two runs and between
+    Runs both initial histories at pullback times 1, 2, ..., horizon;
+    reports the distance series between the two runs and between
     successive snapshots of the first, the fitted per-unit-time
-    contraction factor, the deepest snapshot as the stationary-state
-    estimate, and a stationarity gap: the estimate at the unit-shifted
-    path, advanced one unit by the solution map, must land on the
-    estimate at the base path.
+    contraction factor, and a stationarity gap: the estimate at the
+    unit-shifted path, advanced one unit by the solution map, must land
+    on the deepest snapshot of the first run, the estimate at the base
+    path.
 
-    The convergence guarantee needs tau < 1 and mu (1 - tau) > eps*lip;
-    set ``enforce_condition=False`` to run diagnostically outside that
-    regime, where the report is observational only.
+    The convergence guarantee needs tau < 1 and mu (1 - tau) > eps*lip.
+    The gate is unconditional: outside that regime ConditionViolatedError
+    is raised before any run.
     """
-    if enforce_condition and not solver.params.contraction_condition:
+    if not solver.params.contraction_condition:
         raise ConditionViolatedError(
             "stationary-state convergence not guaranteed: "
             + solver.params.describe_conditions()
         )
-    lattice_steps(step, solver.cfg.dt, "step", minimum=solver.delay_steps + 1)
-    count = lattice_steps(horizon, step, "horizon", minimum=3)
-    times = step * np.arange(1, count + 1)
+    lattice_steps(1.0, solver.cfg.dt, "step", minimum=solver.delay_steps + 1)
+    count = lattice_steps(horizon, 1.0, "horizon", minimum=3)
+    times = np.arange(1.0, count + 1.0)
     # One batch per depth: both histories share the path and the horizon.
     segs1, segs2 = zip(*(pullback_state(solver, [phi1, phi2], path, t) for t in times))
     pair = np.array([_co_distance(a, b) for a, b in zip(segs1, segs2)])
-    limit = segs1[-1]
     # Independent estimate at the unit-shifted path, then one-unit advance.
     prev = pullback_state(solver, phi2, path.shift(-1.0), float(times[-1] - 1.0))
     advanced = advance_state(solver, prev, path.shift(-1.0), 1.0)
@@ -316,7 +311,5 @@ def fixed_point_estimate(
         pair_distances=tuple(float(d) for d in pair),
         successive_distances=tuple(_co_distance(a, b) for a, b in zip(segs1[:-1], segs1[1:])),
         unit_factor=_fit_unit_factor(times, pair),
-        limit_segment=limit,
-        stationarity_gap=_co_distance(advanced, limit),
-        condition_ok=solver.params.contraction_condition,
+        stationarity_gap=_co_distance(advanced, segs1[-1]),
     )

@@ -24,29 +24,13 @@ and the finite-difference quotients are mean values of true derivatives.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import ParameterError
 from .grid import Field, Grid, sup_norm
 from .quadrature import operator_matrix
 
-__all__ = ["DirichletHeatSemigroup", "ResolutionWarning", "resolved_time_floor"]
-
-
-class ResolutionWarning(UserWarning):
-    """The requested time is below the mesh's representation floor.
-
-    Moment-based integration stays exact for any t > 0, but output node
-    samples cannot exhibit features narrower than the mesh, so pointwise
-    plots at such times under-represent the true profile.
-    """
-
-
-def resolved_time_floor(grid: Grid) -> float:
-    """Smallest time whose Gaussian width is resolved by the mesh: 4 dx^2."""
-    return 4.0 * grid.dx * grid.dx
+__all__ = ["DirichletHeatSemigroup"]
 
 
 class DirichletHeatSemigroup:
@@ -75,28 +59,12 @@ class DirichletHeatSemigroup:
             self._cache[key] = w
         return w
 
-    # -- application ------------------------------------------------------
-
-    def apply(self, t: float, f: Field, order: str = "spline") -> Field:
-        """Evaluate S(t) f; t = 0 returns a copy of f."""
-        if t < 0 or not np.isfinite(t):
-            raise ParameterError(f"propagator time must be nonnegative, got {t!r}")
-        if t == 0:
-            return Field(self.grid, f.values.copy())
-        if t < resolved_time_floor(self.grid):
-            warnings.warn(
-                f"t = {t} is below the mesh representation floor {resolved_time_floor(self.grid):g}",
-                ResolutionWarning,
-                stacklevel=2,
-            )
-        return Field(self.grid, self.operator(t, order) @ f.values)
-
     def apply_via_odd_extension(self, t: float, f: Field, order: str = "spline") -> Field:
         """Same operator realized as free-space smoothing of the odd extension.
 
         Requires f(0) = 0 so that the odd extension interpolates.  Agrees
-        with :meth:`apply` to floating-point roundoff; kept as a structural
-        cross-check of the two-term kernel.
+        with ``operator(t) @ f.values`` to floating-point roundoff; kept as a
+        structural cross-check of the two-term kernel.
         """
         f.require_dirichlet("odd extension input")
         if not (np.isfinite(t) and t > 0):

@@ -72,6 +72,8 @@ __all__ = [
 ]
 
 _MODES = ("method-of-steps", "picard")
+# Sweep cap of the Picard mode; picard_solve stops earlier at picard_tol.
+_PICARD_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ class SolverConfig:
     dt: float
     mode: str = "method-of-steps"
     picard_tol: float = 1e-10
-    picard_max_iter: int = 50
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -94,10 +95,6 @@ class SolverConfig:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not (np.isfinite(self.picard_tol) and self.picard_tol > 0):
             raise ParameterError(f"picard_tol must be positive, got {self.picard_tol!r}")
-        if not (isinstance(self.picard_max_iter, (int, np.integer)) and self.picard_max_iter >= 1):
-            raise ParameterError(
-                f"picard_max_iter must be a positive integer, got {self.picard_max_iter!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,6 @@ class PicardReport:
     iterations: int
     changes: tuple[float, ...]
     ratios: tuple[float, ...]
-    converged: bool
 
     @property
     def max_ratio(self) -> float:
@@ -331,15 +327,14 @@ class DelaySolver:
         cur[m + 1 :] = psi.values[-1]
         rows = self.noise_series(path, horizon)
         changes: list[float] = []
-        for _ in range(self.cfg.picard_max_iter):
+        for _ in range(_PICARD_MAX_SWEEPS):
             new = cur.copy()
             self._sweep(new, cur, *rows)
             changes.append(float(np.max(np.abs(new[m + 1 :] - cur[m + 1 :]))))
             cur = new
             if changes[-1] <= self.cfg.picard_tol:
                 break
-        converged = changes[-1] <= self.cfg.picard_tol
         ratios = tuple(b / a for a, b in zip(changes, changes[1:]) if a > 0.0)
-        report = PicardReport(len(changes), tuple(changes), ratios, converged)
+        report = PicardReport(len(changes), tuple(changes), ratios)
         return self._trajectories(cur)[0], report
 

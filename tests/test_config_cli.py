@@ -185,10 +185,24 @@ def test_cli_overflowing_delay_growth_exits_two(tmp_path, capsys):
             assert "e^(mu*tau) overflows" in capsys.readouterr().err
 
 
+# (config, what the error must say): OU windows, then horizons past the record cap
 WINDOW_CONFIGS = (
-    ("experiment = ou-stats\nseed = 1\nmu = 1e-300\npaths = 2\n", "dt_path = 0.02"),
-    ("experiment = temperedness\nseed = 1\nmu = 1e-300\npaths = 2\n", "dt_path = 0.1"),
-    ("experiment = absorbing\nseed = 1\nmu = 1e-300\nepsilon = 0\n", "dt = 0.025"),
+    ("experiment = ou-stats\nseed = 1\nmu = 1e-300\npaths = 2\n",
+     "mu = 1e-300 and dt_path = 0.02 need an OU window"),
+    ("experiment = temperedness\nseed = 1\nmu = 1e-300\npaths = 2\n",
+     "mu = 1e-300 and dt_path = 0.1 need an OU window"),
+    ("experiment = absorbing\nseed = 1\nmu = 1e-300\nepsilon = 0\n",
+     "mu = 1e-300 and dt = 0.025 need an OU window"),
+    ("experiment = temperedness\nseed = 1\nhorizon = 1e300\npaths = 2\n",
+     "horizon = 1e+300 and dt_path = 0.1 make a record"),
+    ("experiment = fixed-point\nseed = 1\nhorizon = 1e300\n",
+     "horizon = 1e+300 and dt = 0.01 make a record"),
+    ("experiment = convergence-study\nseed = 1\nhorizon = 1e300\n",
+     "horizon = 1e+300 and dt_ref = 0.005 make a record"),
+    ("experiment = cocycle\nseed = 1\nt = 1e300\n",
+     "t = 1e+300, s = 1.0 and dt = 0.01 make a record"),
+    ("experiment = absorbing\nseed = 1\nt_max = 1e300\n",
+     "t_max = 1e+300 and dt = 0.025 make a record"),
 )
 
 
@@ -203,14 +217,14 @@ def test_cli_unbounded_ou_window_exits_two(tmp_path):
     # that escaped the cap could not take the machine's memory
     pytest.importorskip("resource")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    for text, step in WINDOW_CONFIGS:
+    for text, message in WINDOW_CONFIGS:
         cfg = _write(tmp_path, "w.cfg", text)
         done = subprocess.run(
             [sys.executable, "-m", "rdslab.cli", "run", "--config", cfg, "--out", str(tmp_path)],
             env=env, capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
         )
         assert done.returncode == 2, done.stderr
-        assert f"mu = 1e-300 and {step} need an OU window" in done.stderr
+        assert message in done.stderr
         assert "Traceback" not in done.stderr
 
 

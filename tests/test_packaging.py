@@ -54,3 +54,23 @@ def test_import_leaves_out_scipy_and_a_run_imports_nothing():
     out = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Exports whose only users are callers of other exports: the result types
+# they return, and evaluate_feedback, a named cross-check of the solver.
+EXPORT_ALLOWLIST = {"DerivedConstants", "Trajectory", "ExperimentResult", "evaluate_feedback"}
+
+
+def test_every_export_has_a_non_test_user():
+    # an export that only tests reach is code the lab does not need
+    modules = {p.stem: p.read_text() for p in (ROOT / "src" / "rdslab").glob("*.py")}
+    outside = [(ROOT / "README.md").read_text()]
+    outside += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    unused = []
+    for name in sorted(set(rdslab.__all__) - EXPORT_ALLOWLIST):
+        value = getattr(rdslab, name)
+        home = value.__module__.rpartition(".")[2] if callable(value) else "__init__"
+        texts = [text for stem, text in modules.items() if stem not in (home, "__init__")]
+        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts + outside):
+            unused.append(name)
+    assert unused == []

@@ -298,7 +298,7 @@ def test_picard_ratio_below_gain_and_matches_steps():
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x) * (1 + xi))
     path = live_path(params, dt, horizon, seed=5)
     traj, report = picard.picard_solve(psi, path, horizon)
-    assert report.converged
+    assert report.changes[-1] <= picard.cfg.picard_tol
     assert report.max_ratio <= picard_gain(params, horizon) + 1e-6
     ref = steps.solve(psi, path, horizon)
     assert np.max(np.abs(traj.values - ref.values)) <= 1e-8 + dt
