@@ -10,6 +10,7 @@ condition named.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +252,12 @@ _POSITIVE_INT = ("N", "trials", "fields", "paths", "segments", "m")
 _MAX_WINDOW_STEPS = 10**6
 # The keys whose sum is a run's horizon: cocycle runs t + s, the others name one.
 _HORIZONS = ("horizon", "t_max", "t", "s")
+# Most cells N.  The solver and the kernel assemble dense (N + 1)^2
+# operator matrices of 8-byte entries, and an assembly holds several at
+# once; at most 128 MiB a matrix caps N at 4,095, five times the largest
+# default (N = 800, 5 MB a matrix).
+_MAX_MATRIX_BYTES = 2**27
+_MAX_CELLS = math.isqrt(_MAX_MATRIX_BYTES // 8) - 1
 
 
 def _validate_ranges(values: dict) -> None:
@@ -263,6 +270,9 @@ def _validate_ranges(values: dict) -> None:
     for key in _POSITIVE_INT:
         if key in values and values[key] < 1:
             raise ParameterError(f"key {key!r} must be at least 1, got {values[key]}")
+    if "N" in values and values["N"] > _MAX_CELLS:
+        raise ParameterError(f"N = {values['N']} exceeds {_MAX_CELLS}: each dense (N + 1)^2 "
+                             f"operator matrix would take more than {_MAX_MATRIX_BYTES >> 20} MiB")
     steps = [key for key in ("dt_path", "dt", "dt_ref") if key in values]
     if "mu" in values and steps:
         key = min(steps, key=values.get)

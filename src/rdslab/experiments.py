@@ -497,8 +497,8 @@ def _run_convergence_study(spec: ExperimentSpec) -> ExperimentResult:
     for dt in dts:
         solver = DelaySolver(grid, params, SolverConfig(dt))
         psi = Segment.from_function(grid, params.tau, dt, psi_fn)
-        traj = solver.solve(psi, path, horizon)
-        terminals.append(traj.field_at(horizon).values)
+        terminals.append(solver.solve(psi, path, horizon).field_at(horizon).values.copy())
+        del solver  # free this solver's N = 800 matrices before the next is built
     errors = [float(np.max(np.abs(term - terminals[-1]))) for term in terminals[:2]]
     ratio = errors[0] / errors[1] if errors[1] > 0 else float("inf")
     rows = [(dts[0], errors[0]), (dts[1], errors[1])]

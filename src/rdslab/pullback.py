@@ -7,9 +7,11 @@ and settles onto a random quantity attached to the path alone — the
 random stationary state — provided the decay rate beats the delayed
 feedback.  A pullback run returns its terminal segment, the history
 window [-tau, 0] at observation time 0; callers take the norms they need
-from it.  Runs of the original state u subtract on entry, and add back
-on exit, the field rows of :meth:`DelaySolver.noise_series`, the one
-route from a path to noise rows.
+from it; the segment is a copy, so each run's trajectory is freed as
+soon as its segment is taken.  Runs of the original state u subtract on
+entry, and add back on exit, the field rows that
+:meth:`DelaySolver.field_rows` forms from :meth:`DelaySolver.noise_series`
+on the two history windows, the one route from a path to noise rows.
 
 Two explicit constants turn the abstract estimates into checkable
 numbers.  ``empirical_decay_bound`` supplies r_hat with
@@ -183,12 +185,12 @@ def _reconstruct(
     [-tau, 0] from phi, integrate v, and add the rows on [horizon - tau,
     horizon] to the terminal frames.  A row depends only on the base index
     of its time, so these are the whole run's rows bit for bit."""
-    z_in = solver.noise_series(path, 0.0)[0]
+    z_in = solver.field_rows(solver.noise_series(path, 0.0))
     if isinstance(phi, Segment):
         entry = Segment(phi.grid, phi.tau, phi.dt, phi.values - z_in)
     else:
         entry = [Segment(p.grid, p.tau, p.dt, p.values - z_in) for p in phi]
-    z_out = solver.noise_series(path.shift(horizon), 0.0)[0]
+    z_out = solver.field_rows(solver.noise_series(path.shift(horizon), 0.0))
     return [
         Segment(v.grid, v.tau, v.dt, v.values + z_out)
         for v in _terminal_segments(solver, entry, path, horizon)

@@ -298,13 +298,16 @@ def operator_matrix(
         w -= w_img
         if spline:
             g -= g_img
+        del w_img, g_img
     if not spline:
         return w
 
     # spline second derivatives at the interior nodes are A^{-1} R f, with
     # A the natural-spline tridiagonal system and R the second difference
-    # over dx (its 1/dx already sits in g): add (A^{-1} g^T)^T R
-    h = _spline_solve(np.ascontiguousarray(g.T), dx).T
+    # over dx (its 1/dx already sits in g): add (A^{-1} g^T)^T R.  The
+    # transpose's copy replaces g, so the solve holds one of them.
+    g = np.ascontiguousarray(g.T)
+    h = _spline_solve(g, dx).T
     w[:, :-2] += h
     w[:, 1:-1] -= 2.0 * h
     w[:, 2:] += h

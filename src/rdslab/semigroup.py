@@ -52,9 +52,9 @@ class DirichletHeatSemigroup:
         key = (float(t), order)
         w = self._cache.get(key)
         if w is None:
-            w = np.exp(-self.mu * t) * operator_matrix(
-                self.grid.nodes, self.grid.nodes, t, kind="image_pair", order=order
-            )
+            # scaled in place: an N = 800 build holds one matrix, not two
+            w = operator_matrix(self.grid.nodes, self.grid.nodes, t, kind="image_pair", order=order)
+            w *= np.exp(-self.mu * t)
             w.setflags(write=False)
             self._cache[key] = w
         return w

@@ -14,9 +14,12 @@ delay the recursion is
 
     v_{k+1} = S(dt) v_k + dt * S(dt/2) [ eps Disp f(v_{k-m} + Z_{k-m}) + Q_k ]
 
-where Z_k and Q_k are the noise field and its Laplacian on the lattice,
-both from :meth:`DelaySolver.noise_series`; the pullback module moves u
-to v and back with those same Z rows.  The S(dt/2) factor is the
+where Z_k and Q_k are the noise field and its Laplacian on the lattice.
+:meth:`DelaySolver.noise_series` gives the OU values z_k at the frame
+times, and :meth:`DelaySolver.field_rows` turns a run of them into rows,
+each row from its own z_k alone; the step kernel forms the Z and Q rows
+of one delay block at a time, and the pullback module moves u to v and
+back with the Z rows of the history windows.  The S(dt/2) factor is the
 midpoint weighting of the Duhamel integral; the forcing itself is read
 at the left lattice point because the driving path exists only on the
 lattice.  The scheme is first order in dt.
@@ -39,6 +42,10 @@ GEMM over a whole block would tie the bits to the block alignment, which
 a restart shifts.  A batch of one is exactly the matrix-vector arithmetic
 above; a larger batch may round a member differently in the last bits, so
 batch composition must follow from the config alone, never scheduling.
+A solve holds that stack and nothing else of its horizon's size: the OU
+values are a few numbers per frame, and a block's rows live for the
+block.  A :class:`Trajectory` segment is a copy, so a caller that keeps
+only a terminal segment frees the stack with the trajectory.
 
 Everything downstream leans on two exactness properties of this module:
 restarting from a stored segment reproduces the continued run bit for
@@ -131,11 +138,13 @@ class Trajectory:
         return Field(self.grid, self.values[self.frame_index(t)])
 
     def segment_at(self, t: float) -> Segment:
-        """History window of length tau ending at lattice time t >= 0."""
+        """History window of length tau ending at lattice time t >= 0, as a
+        copy, so a kept segment does not keep the trajectory's stack alive."""
         hi = self.frame_index(t)
         if hi < self.history_frames:
             raise ParameterError(f"t = {t} precedes the end of the initial history")
-        return Segment(self.grid, self.tau, self.dt, self.values[hi - self.history_frames : hi + 1])
+        frames = self.values[hi - self.history_frames : hi + 1].copy()
+        return Segment(self.grid, self.tau, self.dt, frames)
 
     @property
     def terminal_segment(self) -> Segment:
@@ -257,36 +266,47 @@ class DelaySolver:
         tau, dt = self.params.tau, self.cfg.dt
         return [Trajectory(self.grid, tau, dt, out[:, b]) for b in range(out.shape[1])]
 
-    def noise_series(self, path: WienerPath, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-        """Noise field and Laplacian rows at all frame times -tau .. horizon.
+    def noise_series(self, path: WienerPath, horizon: float) -> np.ndarray:
+        """OU values z at all frame times -tau .. horizon, shape (m, frames).
 
-        The package's one route from a path to noise rows: the step kernel
-        reads them, and the u-runs of :mod:`rdslab.pullback` subtract and
-        add back the field rows.  A row depends only on the base index of
-        its time, so rows read on any shift of the path agree bit for bit.
+        A value depends only on the base index of its time, so values read
+        on any shift of the path agree bit for bit.
         """
         m, n_steps = self.delay_steps, lattice_steps(horizon, self.cfg.dt, "horizon")
         times = self.cfg.dt * (np.arange(m + n_steps + 1) - m)
-        z = ou_series(path, self.ou_params, times)
-        return noise_rows(self._profile_rows, z), noise_rows(self._laplacian_rows, z)
+        return ou_series(path, self.ou_params, times)
 
-    def _sweep(self, out: np.ndarray, delayed: np.ndarray, z_rows, q_rows) -> None:
+    def field_rows(self, z: np.ndarray, laplacian: bool = False) -> np.ndarray:
+        """Noise field rows sum_j z_j g_j, or the Laplacian rows with g_j'',
+        one per column of the OU values z.
+
+        The package's one route from OU values to noise rows: the step
+        kernel forms each delay block's rows here, and the u-runs of
+        :mod:`rdslab.pullback` subtract and add back the field rows of the
+        history windows.  A row depends only on its own column of z.
+        """
+        return noise_rows(self._laplacian_rows if laplacian else self._profile_rows, z)
+
+    def _sweep(self, out: np.ndarray, delayed: np.ndarray, z: np.ndarray) -> None:
         """The one step loop: fill out[m+1:] from out[:m+1], reading delayed
-        states from ``delayed`` (``out`` itself, or the previous Picard sweep).
+        states from ``delayed`` (``out`` itself, or the previous Picard sweep)
+        and the OU values z of every frame.
 
         Block k0 .. k1-1 (k1 <= k0 + m) starts with ``out`` complete through
-        frame k0 + m, so delayed[k0:k1] is final in both modes: f, Disp and
-        S(dt/2) run once on its stack, one BLAS call per frame and never one
-        flattened GEMM (module docstring); only S(dt) runs frame by frame.
+        frame k0 + m, so delayed[k0:k1] is final in both modes: the block's
+        noise rows are formed once, and f, Disp and S(dt/2) run once on its
+        stack, one BLAS call per frame and never one flattened GEMM (module
+        docstring); only S(dt) runs frame by frame.
         """
         m, dt, n = self.delay_steps, self.cfg.dt, out.shape[0] - self.delay_steps - 1
         full, half, p = self._step_full.T, self._step_half.T, self.params
         feedback = p.epsilon != 0.0 and p.nonlinearity.kind != "zero"
         for k0 in range(0, n, m):
             k1 = min(k0 + m, n)
-            force = q_rows[k0 + m : k1 + m, None]
+            force = self.field_rows(z[:, k0 + m : k1 + m], laplacian=True)[:, None]
             if feedback:
-                force = _feedback(p, self.dispersal, delayed[k0:k1], z_rows[k0:k1, None]) + force
+                z_rows = self.field_rows(z[:, k0:k1])[:, None]
+                force = _feedback(p, self.dispersal, delayed[k0:k1], z_rows) + force
             g = dt * (force @ half)
             for k in range(k0, k1):
                 np.matmul(out[k + m], full, out=out[k + m + 1])
@@ -308,7 +328,7 @@ class DelaySolver:
         if self.cfg.mode == "picard":
             return [self.picard_solve(psi, path, horizon)[0] for psi in psis]
         out = self._frames(psis, path, horizon)
-        self._sweep(out, out, *self.noise_series(path, horizon))
+        self._sweep(out, out, self.noise_series(path, horizon))
         return self._trajectories(out)
 
     def picard_solve(
@@ -325,12 +345,15 @@ class DelaySolver:
         m = self.delay_steps
         cur = self._frames([psi], path, horizon)
         cur[m + 1 :] = psi.values[-1]
-        rows = self.noise_series(path, horizon)
+        z = self.noise_series(path, horizon)
         changes: list[float] = []
         for _ in range(_PICARD_MAX_SWEEPS):
             new = cur.copy()
-            self._sweep(new, cur, *rows)
-            changes.append(float(np.max(np.abs(new[m + 1 :] - cur[m + 1 :]))))
+            self._sweep(new, cur, z)
+            # the previous sweep is spent: its frames take the change in place,
+            # and no name keeps a view of them into the next sweep
+            np.subtract(new[m + 1 :], cur[m + 1 :], out=cur[m + 1 :])
+            changes.append(float(np.max(np.abs(cur[m + 1 :], out=cur[m + 1 :]))))
             cur = new
             if changes[-1] <= self.cfg.picard_tol:
                 break

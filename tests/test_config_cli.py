@@ -185,7 +185,8 @@ def test_cli_overflowing_delay_growth_exits_two(tmp_path, capsys):
             assert "e^(mu*tau) overflows" in capsys.readouterr().err
 
 
-# (config, what the error must say): OU windows, then horizons past the record cap
+# (config, what the error must say): OU windows, horizons past the record
+# cap, then a grid past the cell cap
 WINDOW_CONFIGS = (
     ("experiment = ou-stats\nseed = 1\nmu = 1e-300\npaths = 2\n",
      "mu = 1e-300 and dt_path = 0.02 need an OU window"),
@@ -203,6 +204,8 @@ WINDOW_CONFIGS = (
      "t = 1e+300, s = 1.0 and dt = 0.01 make a record"),
     ("experiment = absorbing\nseed = 1\nt_max = 1e300\n",
      "t_max = 1e+300 and dt = 0.025 make a record"),
+    ("experiment = kernel-bound\nseed = 7\nN = 100000000\n",
+     "N = 100000000 exceeds 4095"),
 )
 
 
@@ -226,6 +229,16 @@ def test_cli_unbounded_ou_window_exits_two(tmp_path):
         assert done.returncode == 2, done.stderr
         assert message in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_cell_cap_is_the_largest_n_whose_matrix_fits(tmp_path, capsys):
+    # N = 4095 makes a (N + 1)^2 matrix of exactly 128 MiB; one cell more is refused
+    assert parse_config("experiment = kernel-bound\nseed = 1\nN = 4095\n")["N"] == 4095
+    with pytest.raises(ParameterError, match="N = 4096 exceeds 4095: .* more than 128 MiB"):
+        parse_config("experiment = kernel-bound\nseed = 1\nN = 4096\n")
+    cfg = _write(tmp_path, "n.cfg", "experiment = convergence-study\nseed = 1\nN = 4096\n")
+    assert main(["validate", "--config", cfg]) == 2
+    assert "N = 4096 exceeds 4095" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

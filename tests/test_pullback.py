@@ -345,7 +345,7 @@ def test_terminal_reconstruction_equals_full_trajectory_route():
     m = solver.delay_steps
     path = sample_wiener(2, -30.0, 0.0, 0.005, seed=15)
     shifted = path.shift(-t)
-    z = solver.noise_series(shifted, t)[0]
+    z = solver.field_rows(solver.noise_series(shifted, t))
     phis = [
         Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x) * (1 + xi))
         for a in (1.0, -0.5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,55 @@ def test_all_frames_dirichlet():
     assert np.all(traj.values[:, 0] == 0.0)
 
 
+# ------------------------------------------------------------------ memory
+
+
+def test_a_solve_holds_one_state_stack():
+    # the OU values and each delay block's noise rows are small next to the
+    # (frames, 1, nodes) stack, the solve's one array of its horizon's size
+    params = live_params(profiles=default_profiles(2))
+    dt, horizon = 0.01, 20.0
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
+    path = live_path(params, dt, horizon, seed=4)
+    tracemalloc.start()
+    try:
+        traj = solver.solve(psi, path, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.values.shape[0] - 1 - traj.history_frames == 2000
+    assert peak < 1.5 * traj.values.nbytes
+
+
+def test_a_picard_solve_holds_two_state_stacks():
+    # a sweep reads the previous sweep, whose frames then take the change
+    params = live_params(epsilon=2.0)
+    dt, horizon = 0.005, 2.0
+    solver = DelaySolver(GRID, params, SolverConfig(dt, mode="picard"))
+    psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
+    path = live_path(params, dt, horizon, seed=6)
+    solver.noise_series(path, horizon)  # the OU window kernel is cached on first use
+    tracemalloc.start()
+    try:
+        traj, report = solver.picard_solve(psi, path, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations > 2
+    assert peak < 2.5 * traj.values.nbytes
+
+
+def test_segments_do_not_pin_their_trajectory():
+    params = live_params()
+    dt = 0.01
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
+    traj = solver.solve(psi, live_path(params, dt, 0.5, seed=5), 0.5)
+    assert not np.shares_memory(traj.terminal_segment.values, traj.values)
+    assert not np.shares_memory(traj.segment_at(0.2).values, traj.values)
+
+
 # ------------------------------------------------------------- picard mode
 
 
@@ -379,7 +429,8 @@ def _frame_by_frame(solver, psis, path, horizon):
     for b, psi in enumerate(psis):
         out[: m + 1, b] = psi.values
     states = out[:, 0] if len(psis) == 1 else out
-    z_rows, q_rows = solver.noise_series(path, horizon)
+    z = solver.noise_series(path, horizon)
+    z_rows, q_rows = solver.field_rows(z), solver.field_rows(z, laplacian=True)
     full = solver.semigroup.operator(dt, order="spline").T
     half = solver.semigroup.operator(dt / 2.0, order="spline").T
     feedback = params.epsilon != 0.0 and params.nonlinearity.kind != "zero"
@@ -446,7 +497,7 @@ def test_u_v_roundtrip_and_dirichlet():
     phi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
     path = live_path(params, dt, 0.5, seed=7)
     m = solver.delay_steps
-    z = solver.noise_series(path, 0.5)[0]
+    z = solver.field_rows(solver.noise_series(path, 0.5))
     u = advance_state(solver, phi, path, 0.5)
     v_entry = Segment(GRID, params.tau, dt, phi.values - z[: m + 1])
     v = solver.solve(v_entry, path, 0.5).terminal_segment
@@ -475,9 +526,13 @@ def test_noise_series_rows_depend_only_on_their_time():
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = live_path(params, 0.01, 0.5, seed=8)
     m = solver.delay_steps
-    whole = solver.noise_series(path, 0.5)
+
+    def field_and_laplacian_rows(z):
+        return solver.field_rows(z), solver.field_rows(z, laplacian=True)
+
+    whole = field_and_laplacian_rows(solver.noise_series(path, 0.5))
     for k in (0, 1, 13, 25):
-        part = solver.noise_series(path.shift(k * dt), 0.0)
+        part = field_and_laplacian_rows(solver.noise_series(path.shift(k * dt), 0.0))
         for rows, all_rows in zip(part, whole):
             assert np.array_equal(rows, all_rows[k : k + m + 1])
 
@@ -495,10 +550,11 @@ def _callers(name: str) -> set[str]:
     return found
 
 
-def test_only_noise_series_builds_noise_rows():
-    # one route from a path and its profiles to noise rows: the step kernel
-    # and the pullback u-runs both read DelaySolver.noise_series
-    assert _callers("noise_rows") == {"solver:noise_series"}
+def test_only_field_rows_builds_noise_rows():
+    # one route from OU values and the profiles to noise rows: the step
+    # kernel's delay blocks and the pullback u-runs both read
+    # DelaySolver.field_rows
+    assert _callers("noise_rows") == {"solver:field_rows"}
 
 
 # ------------------------------------------------- quantitative structure

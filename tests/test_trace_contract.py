@@ -23,7 +23,7 @@ import pytest
 from rdslab.grid import Segment, make_grid, segment_co_norm
 from rdslab.model import ModelParams, default_profiles
 from rdslab.noise import sample_wiener
-from rdslab.solver import DelaySolver, SolverConfig
+from rdslab.solver import DelaySolver, SolverConfig, Trajectory
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -134,3 +134,33 @@ def test_hook_attributes_resolve_on_real_calls():
     # _co_norm_frames: frames of the segment passed to segment_co_norm
     seg = traj.terminal_segment
     assert segment_co_norm(seg) > 0.0 and seg.n_frames == 3
+
+
+def test_solves_reach_noise_series_and_return_trajectories(monkeypatch):
+    # The trace expects noise_series calls on the workloads that solve, and
+    # _solve_steps reads a Trajectory off solve's result: a solve that skips
+    # noise_series, or returns anything else, leaves those runs incorrect.
+    targets = {target for target, _ in WRAPPERS}
+    assert {"solver.DelaySolver.solve", "solver.DelaySolver.noise_series"} <= targets
+    calls = []
+    noise_series = DelaySolver.noise_series
+
+    def counted(self, path, horizon):
+        calls.append(horizon)
+        return noise_series(self, path, horizon)
+
+    monkeypatch.setattr(DelaySolver, "noise_series", counted)
+    grid = make_grid(1.0, 10)
+    params = ModelParams(mu=1.0, epsilon=0.5, alpha=1.0, tau=0.1, profiles=default_profiles(1))
+    dt, horizon = 0.05, 0.2
+    path = sample_wiener(1, -41.0, horizon, dt, seed=1)
+    psis = [
+        Segment.from_function(grid, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x))
+        for a in (1.0, -2.0)
+    ]
+    solver = DelaySolver(grid, params, SolverConfig(dt))
+    traj = solver.solve(psis[0], path, horizon)
+    assert calls == [horizon] and isinstance(traj, Trajectory)
+    batch = solver.solve_batch(psis, path, horizon)
+    assert calls == [horizon, horizon]
+    assert len(batch) == 2 and all(isinstance(t, Trajectory) for t in batch)
