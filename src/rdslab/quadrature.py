@@ -46,6 +46,22 @@ is exactly 0.  The spline's second derivatives at the interior nodes are
 A^{-1} R f (A the tridiagonal spline system, R the second difference);
 their weights G enter as (A^{-1} G^T)^T R, one banded solve with the
 output rows as right-hand sides, so no step costs more than O(N^2).
+Both terms' cells go through one moment evaluation, and the normal CDF
+is evaluated once per distinct |edge|.  The image term is subtracted,
+the spline update added and the flush below applied a row block at a
+time, so an assembly holds at most two matrices and a block.
+
+Subnormal flush.  Every entry of magnitude below the smallest normal
+double, 2.2e-308, is set to 0 (``flush_subnormal``; the heat semigroup
+repeats it after its e^{-mu t} scaling).  Far-tail entries of the
+N = 800 spline propagators are subnormal, and a BLAS product that meets
+them runs 1.6-1.8x slower (OpenBLAS, one thread).  The flush leaves
+every product whose result exceeds about 1e-290 bit for bit unchanged:
+a dropped term w_ij v_j is below 2.3e-308 |v_j|, less than half an ulp
+of such a result.
+It is not sparsification: only entries below the smallest normal go, so
+linear image-pair matrices stay nonnegative with row sums below 1,
+exactly.
 
 Accuracy.  A cell's Gaussian mass comes from the tail the cell lies in,
 so far cells keep their relative accuracy and linear image-pair matrices
@@ -72,9 +88,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError
 from .grid import lattice_steps
 
-__all__ = ["operator_matrix", "gaussian_pdf", "erf"]
+__all__ = ["operator_matrix", "flush_subnormal", "gaussian_pdf", "erf"]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_TINY = np.finfo(float).tiny
+# Rows per in-place update: 64 rows of an N = 800 matrix are 0.4 MB, so a
+# block's temporaries stay a small fraction of the matrix.
+_ROW_BLOCK = 64
 
 # Cephes erf/erfc, as scipy.special evaluates them: highest degree first;
 # Q, S and U have an implicit leading 1.
@@ -153,6 +173,15 @@ def _ndtr_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def flush_subnormal(w: np.ndarray) -> np.ndarray:
+    """Zero, in place and a row block at a time, every entry of ``w`` whose
+    magnitude is below the smallest normal double; return ``w``."""
+    for i in range(0, len(w), _ROW_BLOCK):
+        block = w[i:i + _ROW_BLOCK]
+        block[np.abs(block) < _TINY] = 0.0
+    return w
+
+
 def gaussian_pdf(u: np.ndarray, sigma: float) -> np.ndarray:
     return _INV_SQRT_2PI / sigma * np.exp(-(u * u) / (2.0 * sigma * sigma))
 
@@ -171,7 +200,11 @@ def _interval_moments(sigma: float, edges: np.ndarray) -> list[np.ndarray]:
     # the mass from the tail the interval lies in, so a far interval keeps
     # its relative accuracy instead of the 1e-16 left over from 1 - 1
     z = edges / sigma
-    lower, upper = _ndtr_pair(z)
+    # ndtr(-z) is ndtr(z) with the pair swapped, bit for bit, so each
+    # distinct |z| is evaluated once
+    mag, where = np.unique(np.abs(z), return_inverse=True)
+    lower, upper = (c[where] for c in _ndtr_pair(mag))
+    lower, upper = np.where(z < 0, upper, lower), np.where(z < 0, lower, upper)
     i0 = np.where(z[:-1] + z[1:] > 0, upper[:-1] - upper[1:], lower[1:] - lower[:-1])
     i1 = s2 * (pa - pb)
     i2 = s2 * i0 + s2 * (a * pa - b * pb)
@@ -198,23 +231,33 @@ def _cell_weights(edges: np.ndarray, dx: float, sigma: float) -> list[np.ndarray
     ]
 
 
-def _term(origin, first, starts, n_nodes, dx, sigma, spline):
-    """Weights of one Gaussian term whose argument at node n of row i is
-    origin + (first + starts[i] + n) dx.
+class _Term:
+    """One Gaussian term whose argument at node n of row i is
+    origin + (first + starts[i] + n) dx, gathered a slice of rows at a time
+    from its per-cell weight tables (``_cell_weights`` over the offsets
+    first - 1 ... first + max(starts) + n_nodes).
 
-    Each row is a window of one table over the offsets, so the result is
-    Toeplitz (starts falling with the row) or Hankel (rising).  Returns
-    the linear weights (rows, n_nodes) and, for the spline, the curvature
-    weights of the interior nodes (rows, n_nodes - 2).
+    Each row is a window of one table over the offsets, so the matrix is
+    Toeplitz (starts falling with the row) or Hankel (rising).
     """
-    offsets = np.arange(first - 1, first + int(starts.max(initial=0)) + n_nodes + 1)
-    left, right, c0, c1 = _cell_weights(origin + offsets * dx, dx, sigma)
-    w = sliding_window_view(left[1:] + right[:-1], n_nodes)[starts]
-    w[:, 0] = left[starts + 1]  # the end nodes have one cell each
-    w[:, -1] = right[starts + n_nodes - 1]
-    if not spline:
-        return w, None
-    return w, sliding_window_view(c0[1:] + c1[:-1], n_nodes - 2)[starts + 1]
+
+    def __init__(self, starts, n_nodes, left, right, c0, c1):
+        self.starts, self.n_nodes = starts, n_nodes
+        self.left, self.right = left, right
+        self.inner = left[1:] + right[:-1]
+        self.curv = c0[1:] + c1[:-1]
+
+    def linear(self, rows: slice) -> np.ndarray:
+        """Linear weights of the rows, (rows, n_nodes)."""
+        s = self.starts[rows]
+        w = sliding_window_view(self.inner, self.n_nodes)[s]
+        w[:, 0] = self.left[s + 1]  # the end nodes have one cell each
+        w[:, -1] = self.right[s + self.n_nodes - 1]
+        return w
+
+    def curvature(self, rows: slice) -> np.ndarray:
+        """Spline curvature weights of the interior nodes, (rows, n_nodes - 2)."""
+        return sliding_window_view(self.curv, self.n_nodes - 2)[self.starts[rows] + 1]
 
 
 def _spline_solve(b: np.ndarray, dx: float) -> np.ndarray:
@@ -288,27 +331,44 @@ def operator_matrix(
     spline = order == "spline" and n_nodes > 2
     sigma = np.sqrt(2.0 * a)
 
-    # direct term G_a(x - y): argument (n - p_i) dx, a Toeplitz matrix
+    # direct term G_a(x - y): argument (n - p_i) dx, a Toeplitz matrix;
+    # image term G_a(x + y): argument 2 in_nodes[0] + (n + p_i) dx, a Hankel matrix
     hi = int(p.max(initial=0))
-    w, g = _term(0.0, -hi, hi - p, n_nodes, dx, sigma, spline)
+    layout = [(0.0, -hi, hi - p)]
     if kind == "image_pair":
-        # image term G_a(x + y): argument 2 in_nodes[0] + (n + p_i) dx, a Hankel matrix
         lo = int(p.min(initial=0))
-        w_img, g_img = _term(2.0 * nodes[0], lo, p - lo, n_nodes, dx, sigma, spline)
-        w -= w_img
-        if spline:
-            g -= g_img
-        del w_img, g_img
-    if not spline:
-        return w
+        layout.append((2.0 * nodes[0], lo, p - lo))
+    edges = [origin + np.arange(first - 1, first + int(starts.max(initial=0)) + n_nodes + 1) * dx
+             for origin, first, starts in layout]
+    # One moment evaluation covers both terms, so an |edge| they share
+    # costs one normal CDF; the cell across the seam is never read.
+    tables = _cell_weights(np.concatenate(edges), dx, sigma)
+    seam = edges[0].size
+    direct = _Term(layout[0][2], n_nodes, *(t[:seam - 1] for t in tables))
+    image = None
+    if kind == "image_pair":
+        image = _Term(layout[1][2], n_nodes, *(t[seam:] for t in tables))
+    blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, x.size, _ROW_BLOCK)]
 
-    # spline second derivatives at the interior nodes are A^{-1} R f, with
-    # A the natural-spline tridiagonal system and R the second difference
-    # over dx (its 1/dx already sits in g): add (A^{-1} g^T)^T R.  The
-    # transpose's copy replaces g, so the solve holds one of them.
-    g = np.ascontiguousarray(g.T)
-    h = _spline_solve(g, dx).T
-    w[:, :-2] += h
-    w[:, 1:-1] -= 2.0 * h
-    w[:, 2:] += h
+    if spline:
+        # Spline second derivatives at the interior nodes are A^{-1} R f, with
+        # A the natural-spline tridiagonal system and R the second difference
+        # over dx (its 1/dx already sits in g): add (A^{-1} g^T)^T R.  g is
+        # solved before the linear table is gathered, so at most two
+        # matrices are alive at once.
+        g = direct.curvature(slice(None))
+        if image is not None:
+            for rows in blocks:
+                g[rows] -= image.curvature(rows)
+        g = np.ascontiguousarray(g.T)
+        h = _spline_solve(g, dx).T
+    w = direct.linear(slice(None))
+    for rows in blocks:
+        if image is not None:
+            w[rows] -= image.linear(rows)
+        if spline:
+            w[rows, :-2] += h[rows]
+            w[rows, 1:-1] -= 2.0 * h[rows]
+            w[rows, 2:] += h[rows]
+        flush_subnormal(w[rows])
     return w

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import Field, Grid, sup_norm
-from .quadrature import operator_matrix
+from .quadrature import flush_subnormal, operator_matrix
 
 __all__ = ["DirichletHeatSemigroup"]
 
@@ -52,9 +52,12 @@ class DirichletHeatSemigroup:
         key = (float(t), order)
         w = self._cache.get(key)
         if w is None:
-            # scaled in place: an N = 800 build holds one matrix, not two
+            # scaled in place: an N = 800 build holds one matrix, not two.
+            # The scaling can take a normal entry below the smallest normal
+            # double, so the flush is repeated after it.
             w = operator_matrix(self.grid.nodes, self.grid.nodes, t, kind="image_pair", order=order)
             w *= np.exp(-self.mu * t)
+            flush_subnormal(w)
             w.setflags(write=False)
             self._cache[key] = w
         return w

@@ -3,6 +3,7 @@ preconditions, exact zeros."""
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import lru_cache
 from math import comb
 
@@ -11,7 +12,16 @@ import pytest
 
 from rdslab.errors import ParameterError
 from rdslab.grid import make_grid
-from rdslab.quadrature import _ndtr_pair, _spline_solve, erf, operator_matrix
+import rdslab.quadrature as quadrature
+from rdslab.quadrature import (
+    _interval_moments,
+    _ndtr_pair,
+    _spline_solve,
+    erf,
+    flush_subnormal,
+    gaussian_pdf,
+    operator_matrix,
+)
 from rdslab.semigroup import DirichletHeatSemigroup
 
 
@@ -134,6 +144,89 @@ def test_spline_propagator_row_zero_is_exactly_zero(n_cells):
     semigroup = DirichletHeatSemigroup(make_grid(20.0, n_cells), mu=1.0)
     for t in (0.005, 0.01, 1.0):
         assert np.all(semigroup.operator(t, "spline")[0] == 0.0)
+
+
+TINY = np.finfo(float).tiny
+
+
+def _subnormal_count(w: np.ndarray) -> int:
+    return int(np.count_nonzero((w != 0.0) & (np.abs(w) < TINY)))
+
+
+@pytest.mark.parametrize("n_cells", [200, 800])
+@pytest.mark.parametrize("a", [0.001, 0.005, 1.0])
+@pytest.mark.parametrize("order", ["linear", "spline"])
+def test_no_operator_matrix_has_a_subnormal_entry(n_cells, a, order):
+    # a subnormal operand costs the BLAS kernel a microcode assist; at
+    # N = 800 the unflushed spline propagators carry thousands of them
+    grid = make_grid(20.0, n_cells)
+    assert _subnormal_count(operator_matrix(grid.nodes, grid.nodes, a, order=order)) == 0
+    semigroup = DirichletHeatSemigroup(grid, mu=1.0)
+    assert _subnormal_count(semigroup.operator(a, order)) == 0
+
+
+def test_propagator_is_flushed_after_its_killing_factor():
+    # at N = 1600, a = 0.005 the e^{-mu t} scaling takes two normal
+    # entries of the spline matrix below the smallest normal double
+    grid = make_grid(20.0, 1600)
+    w = DirichletHeatSemigroup(grid, mu=1.0).operator(0.005, "spline")
+    assert _subnormal_count(w) == 0
+
+
+def test_flush_zeroes_exactly_the_entries_below_the_smallest_normal():
+    special = [TINY, -TINY, np.nextafter(TINY, 0.0), -np.nextafter(TINY, 0.0), 5e-324, -5e-324,
+               0.0, -0.0, 1.0, -np.inf, np.nan]
+    rng = np.random.default_rng(3)
+    w = np.concatenate([special, rng.choice(special, 3 * 64 * 11 - len(special))]).reshape(-1, 11)
+    expected = np.where(np.abs(w) < TINY, 0.0, w)
+    assert flush_subnormal(w) is w
+    assert np.array_equal(_bits(w), _bits(expected))
+
+
+@pytest.mark.parametrize("order, bound", [("spline", 2.5), ("linear", 1.5)])
+def test_assembly_holds_few_matrices(order, bound):
+    # the image term is subtracted, the spline weights solved, the h
+    # updates and the flush applied a row block at a time
+    grid = make_grid(20.0, 800)
+    operator_matrix(grid.nodes, grid.nodes, 0.01, order=order)  # warm any lazy numpy state
+    tracemalloc.start()
+    try:
+        w = operator_matrix(grid.nodes, grid.nodes, 0.01, order=order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * w.nbytes
+
+
+def _per_argument_moments(sigma: float, edges: np.ndarray) -> list[np.ndarray]:
+    """The interval moments with one normal CDF pair per edge."""
+    a, b = edges[:-1], edges[1:]
+    pdf = gaussian_pdf(edges, sigma)
+    pa, pb = pdf[:-1], pdf[1:]
+    s2 = sigma * sigma
+    z = edges / sigma
+    lower, upper = _ndtr_pair(z)
+    i0 = np.where(z[:-1] + z[1:] > 0, upper[:-1] - upper[1:], lower[1:] - lower[:-1])
+    i1 = s2 * (pa - pb)
+    i2 = s2 * i0 + s2 * (a * pa - b * pb)
+    return [i0, i1, i2, s2 * (a * a * pa - b * b * pb) + 2.0 * s2 * i1]
+
+
+def test_interval_moments_evaluate_each_magnitude_once(monkeypatch):
+    dx, sigma = 20.0 / 800, np.sqrt(2.0 * 0.005)
+    lattice = np.arange(-801, 803) * dx
+    for edges in (lattice, np.concatenate([lattice, np.arange(-1, 1602) * dx]),
+                  1.5 + lattice, np.array([-60.0, -1e-300, -0.0, 0.0, 1e-300, 60.0]) * sigma):
+        got = _interval_moments(sigma, edges)
+        for mine, theirs in zip(got, _per_argument_moments(sigma, edges)):
+            assert np.array_equal(_bits(mine), _bits(theirs))
+    # a square N = 800 image pair: the direct term's 1,603 edges are
+    # symmetric about its centre, and the image term's repeat them
+    seen = []
+    monkeypatch.setattr(quadrature, "_ndtr_pair", lambda z: seen.append(z.size) or _ndtr_pair(z))
+    grid = make_grid(20.0, 800)
+    operator_matrix(grid.nodes, grid.nodes, 0.005, order="spline")
+    assert seen == [1602]
 
 
 def _bits(x) -> np.ndarray:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import rdslab.experiments as experiments
+from rdslab.config import parse_config
 from rdslab.errors import ParameterError
 from rdslab.grid import Field, make_grid, sup_norm
 from rdslab.semigroup import DirichletHeatSemigroup
@@ -112,3 +114,16 @@ def test_odd_extension_agrees_with_image_pair():
     direct = flow.operator(0.5) @ f.values
     mirrored = flow.apply_via_odd_extension(0.5, f)
     assert sup_norm(Field(grid, direct - mirrored.values)) <= 1e-10
+
+
+def test_semigroup_bounds_draws_each_field_once(monkeypatch):
+    drawn = []
+    draw = experiments._smooth_random_field
+    monkeypatch.setattr(experiments, "_smooth_random_field",
+                        lambda grid, rng: drawn.append(1) or draw(grid, rng))
+    config = "experiment = semigroup-bounds\nseed = 5\nfields = 3\nN = 50\n"
+    result = experiments.run_experiment(parse_config(config))
+    assert len(drawn) == 3
+    # rows by field, then (mu, t) in sweep order within each field
+    cases = [(mu, t) for mu in experiments.SEMIGROUP_RATES for t in experiments.SEMIGROUP_TIMES]
+    assert [row[:3] for row in result.rows] == [(i, *case) for i in range(3) for case in cases]
