@@ -7,9 +7,10 @@ and settles onto a random quantity attached to the path alone — the
 random stationary state — provided the decay rate beats the delayed
 feedback.  A pullback run returns its terminal segment, the history
 window [-tau, 0] at observation time 0; callers take the norms they need
-from it; the segment is a copy, so each run's trajectory is freed as
-soon as its segment is taken.  Runs of the original state u subtract on
-entry, and add back on exit, the field rows that
+from it.  A batch steps in a window of a few delay blocks
+(:meth:`DelaySolver.terminal_segments`); a lone history's trajectory is
+freed as soon as its segment, a copy, is taken.  Runs of the original
+state u subtract on entry, and add back on exit, the field rows that
 :meth:`DelaySolver.field_rows` forms from :meth:`DelaySolver.noise_series`
 on the two history windows, the one route from a path to noise rows.
 
@@ -155,10 +156,10 @@ def _check_pullback_time(solver: DelaySolver, t: float) -> None:
 def _terminal_segments(
     solver: DelaySolver, psi: Segment | Sequence[Segment], path: WienerPath, horizon: float
 ) -> list[Segment]:
-    """Terminal segments of one solve, or of one batched solve of a sequence."""
+    """Terminal segments of one solve, or of one windowed batch of a sequence."""
     if isinstance(psi, Segment):
         return [solver.solve(psi, path, horizon).terminal_segment]
-    return [traj.terminal_segment for traj in solver.solve_batch(psi, path, horizon)]
+    return solver.terminal_segments(psi, path, horizon)
 
 
 def _one_or_all(psi: Segment | Sequence[Segment], results: list):
@@ -235,13 +236,14 @@ def cocycle_residual(
     integrating.  For positive lattice t, s the two sides execute the
     identical step arithmetic on the same lattice, so the residual is
     zero to the last bit; the return value is the measured difference,
-    not an assumed one.
+    not an assumed one.  The direct side steps in windows, the legs in
+    whole stacks, so the residual also pins the window to the stack.
     """
     for name, val in (("t", t), ("s", s)):
         lattice_steps(val, solver.cfg.dt, name)
     if t == 0.0 or s == 0.0:
         return 0.0
-    direct = solver.solve(psi, path, s + t).terminal_segment
+    direct = solver.terminal_segments([psi], path, s + t)[0]
     first = solver.solve(psi, path, s).terminal_segment
     second = solver.solve(first, path.shift(s), t).terminal_segment
     return _co_distance(direct, second)

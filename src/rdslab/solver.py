@@ -45,7 +45,9 @@ batch composition must follow from the config alone, never scheduling.
 A solve holds that stack and nothing else of its horizon's size: the OU
 values are a few numbers per frame, and a block's rows live for the
 block.  A :class:`Trajectory` segment is a copy, so a caller that keeps
-only a terminal segment frees the stack with the trajectory.
+only a terminal segment frees the stack with the trajectory, and
+:meth:`DelaySolver.terminal_segments` never builds it: it steps the same
+blocks, with the same bits, in a window of a few delay blocks.
 
 Everything downstream leans on two exactness properties of this module:
 restarting from a stored segment reproduces the continued run bit for
@@ -81,6 +83,9 @@ __all__ = [
 _MODES = ("method-of-steps", "picard")
 # Sweep cap of the Picard mode; picard_solve stops earlier at picard_tol.
 _PICARD_MAX_SWEEPS = 50
+# terminal_segments steps this many frames per window at least, in whole
+# delay blocks: one block per window at m = 1 paid a _sweep call per step.
+_WINDOW_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -218,8 +223,9 @@ class DelaySolver:
     """Precomputed-matrix integrator for one (grid, params, config) triple.
 
     Matrices are built once and shared read-only by every solve.
-    :meth:`_sweep` is the one step kernel, on (frames, B, nodes) stacks;
-    :meth:`solve` is its batch of one.
+    :meth:`_sweep` is the one step kernel, on (frames, B, nodes) stacks
+    or on the windows of :meth:`terminal_segments`; :meth:`solve` is its
+    batch of one.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, cfg: SolverConfig):
@@ -241,9 +247,12 @@ class DelaySolver:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _frames(self, psis: Sequence[Segment], path: WienerPath, horizon: float) -> np.ndarray:
+    def _frames(
+        self, psis: Sequence[Segment], path: WienerPath, horizon: float, steps: int | None = None
+    ) -> np.ndarray:
         """Check a batch against the solver and the path; return its
-        (frames, B, nodes) stack with the histories on the first m + 1 frames."""
+        (frames, B, nodes) stack with the histories on the first m + 1 frames,
+        for the horizon or for at most ``steps`` steps of it."""
         m = self.delay_steps
         for psi in psis:
             if psi.grid != self.grid:
@@ -257,7 +266,7 @@ class DelaySolver:
             psi.require_dirichlet("initial segment")
         lattice_steps(self.cfg.dt, path.dt_knot, "solver dt (in path steps)", minimum=1)
         n = lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
-        out = np.empty((m + n + 1, len(psis), self.grid.n_cells + 1))
+        out = np.empty((m + min(n, steps or n) + 1, len(psis), self.grid.n_cells + 1))
         for b, psi in enumerate(psis):
             out[: m + 1, b] = psi.values
         return out
@@ -309,8 +318,9 @@ class DelaySolver:
                 force = _feedback(p, self.dispersal, delayed[k0:k1], z_rows) + force
             g = dt * (force @ half)
             for k in range(k0, k1):
-                np.matmul(out[k + m], full, out=out[k + m + 1])
-                out[k + m + 1] += g[k - k0]
+                row = out[k + m + 1]
+                np.dot(out[k + m], full, out=row)
+                row += g[k - k0]
 
     # -- integration --------------------------------------------------------
 
@@ -330,6 +340,28 @@ class DelaySolver:
         out = self._frames(psis, path, horizon)
         self._sweep(out, out, self.noise_series(path, horizon))
         return self._trajectories(out)
+
+    def terminal_segments(
+        self, psis: Sequence[Segment], path: WienerPath, horizon: float
+    ) -> list[Segment]:
+        """:meth:`solve_batch`'s terminal segments, bit for bit, stepped in a
+        window of m + 1 + k m frames, k = ceil(64 / m), whose last m + 1
+        frames move to the front after each pass.  Windows start at multiples
+        of m, so every delay block and product is the stack's.  Picard mode
+        keeps whole sweeps: each reads the previous one over the horizon."""
+        if self.cfg.mode == "picard":
+            return [traj.terminal_segment for traj in self.solve_batch(psis, path, horizon)]
+        m = self.delay_steps
+        w = m * -(-_WINDOW_STEPS // m)
+        out = self._frames(psis, path, horizon, w)
+        z = self.noise_series(path, horizon)
+        n = z.shape[1] - m - 1
+        for s in range(0, n, w):
+            if s:  # every window but the last is full
+                out[: m + 1] = out[w:]
+            win = out[: m + 1 + min(w, n - s)]
+            self._sweep(win, win, z[:, s : s + win.shape[0]])
+        return [traj.terminal_segment for traj in self._trajectories(win)]
 
     def picard_solve(
         self, psi: Segment, path: WienerPath, horizon: float

@@ -204,6 +204,18 @@ def test_cocycle_residual_exact_when_leg_blocks_do_not_align(tau):
     assert cocycle_residual(solver, psi, path, 0.55, 0.37) == 0.0
 
 
+@pytest.mark.parametrize("tau", [0.01, 0.1, 0.7], ids=["m1", "m10", "m70"])
+def test_cocycle_residual_exact_across_windows(tau):
+    # the direct run steps in windows of 64 (m = 1) or 70 (m = 10, 70)
+    # steps; s = 137 and s + t = 220 steps are multiples of neither
+    params = ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=tau, profiles=default_profiles(1))
+    dt = 0.01
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    path = sample_wiener(1, -40.0, 2.5, dt, seed=9)
+    psi = Segment.from_function(GRID, tau, dt, lambda xi, x: x * np.exp(-x) * (1 + 5 * xi))
+    assert cocycle_residual(solver, psi, path, 0.83, 1.37) == 0.0
+
+
 def test_cocycle_residual_validates_lattice():
     params = absorbing_params()
     dt = 0.025

@@ -335,6 +335,38 @@ def test_segments_do_not_pin_their_trajectory():
     assert not np.shares_memory(traj.segment_at(0.2).values, traj.values)
 
 
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_terminal_segments_hold_a_window_not_the_horizon():
+    # the OU values are a few numbers per frame; the states are a window
+    # of delay blocks, so only the OU part of the peak grows with the horizon
+    grid = make_grid(20.0, 24)
+    params = live_params()
+    dt = 0.01
+    solver = DelaySolver(grid, params, SolverConfig(dt))
+    psi = Segment.from_function(grid, params.tau, dt, lambda xi, x: x * np.exp(-x))
+    peaks = {}
+    for horizon in (2.0, 20.0):
+        path = live_path(params, dt, horizon, seed=4)
+        solver.noise_series(path, horizon)  # the OU window kernel is cached on first use
+        peaks[horizon] = [
+            _peak_bytes(lambda: solver.noise_series(path, horizon)),
+            _peak_bytes(lambda: solver.terminal_segments([psi], path, horizon)),
+            _peak_bytes(lambda: solver.solve(psi, path, horizon)),
+        ]
+    ou, windowed, stack = (b - a for a, b in zip(peaks[2.0], peaks[20.0]))
+    states = 1800 * psi.values[0].nbytes  # the 1,800 frames horizon 20 adds
+    assert windowed <= ou + 0.01 * states
+    assert stack >= ou + 0.9 * states
+
+
 # ------------------------------------------------------------- picard mode
 
 
@@ -483,6 +515,41 @@ def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon):
     traj, report = picard.picard_solve(psi, path, horizon)
     assert report.changes[-1] == 0.0
     assert np.array_equal(traj.values, _frame_by_frame(picard, [psi], path, horizon)[:, 0])
+
+
+# steps 37 end inside the first window; 128 ends a window at m = 1 and 2
+# and mid-block at m = 10; 157 ends mid-window and mid-block at m = 2 and
+# 10; m = 70 makes each window one delay block, moved with a frame of overlap
+@pytest.mark.parametrize("m", [1, 2, 10, 70])
+@pytest.mark.parametrize("components", [1, 3])
+def test_terminal_segments_equal_solve_batch(m, components):
+    dt = 0.01
+    params = live_params(tau=m * dt, profiles=default_profiles(components))
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    psis = _block_psis(params.tau, dt)
+    for steps in (37, 128, 157):
+        horizon = steps * dt
+        # the path's knots are twice as fine as the frames
+        path = live_path(params, dt / 2, horizon, seed=30 + steps)
+        for b in (1, 5):
+            segs = solver.terminal_segments(psis[:b], path, horizon)
+            ref = solver.solve_batch(psis[:b], path, horizon)
+            assert len(segs) == b
+            for seg, traj in zip(segs, ref):
+                assert np.array_equal(seg.values, traj.terminal_segment.values)
+        one = solver.terminal_segments(psis[:1], path, horizon)[0]
+        assert np.array_equal(one.values, solver.solve(psis[0], path, horizon).terminal_segment.values)
+
+
+def test_picard_terminal_segments_keep_whole_sweeps():
+    params = live_params(epsilon=2.0)
+    dt, horizon = 0.005, 0.4
+    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard"))
+    psis = _block_psis(params.tau, dt)[:2]
+    path = live_path(params, dt, horizon, seed=31)
+    for seg, psi in zip(picard.terminal_segments(psis, path, horizon), psis):
+        traj, _ = picard.picard_solve(psi, path, horizon)
+        assert np.array_equal(seg.values, traj.terminal_segment.values)
 
 
 # ------------------------------------------------------------- conjugation
