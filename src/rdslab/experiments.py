@@ -42,7 +42,7 @@ from .pullback import (
 )
 from .quadrature import erf
 from .semigroup import DirichletHeatSemigroup
-from .solver import DelaySolver, SolverConfig, contraction_interval, picard_gain
+from .solver import PICARD_TOL, DelaySolver, SolverConfig, contraction_interval, picard_gain
 
 __all__ = ["CheckResult", "ExperimentResult", "run_experiment", "SEMIGROUP_TIMES", "SEMIGROUP_RATES"]
 
@@ -319,8 +319,7 @@ def _run_picard_contraction(spec: ExperimentSpec) -> ExperimentResult:
     dt = spec["dt"]
     steps = int(np.floor(spec["horizon_fraction"] * t_star / dt))
     horizon = steps * dt
-    cfg = SolverConfig(dt, mode="picard")
-    solver = DelaySolver(grid, params, cfg)
+    solver = DelaySolver(grid, params, SolverConfig(dt, mode="picard"))
     path = sample_wiener(
         params.m, -solver.ou_params.s_cut - params.tau, horizon, dt, spec["seed"]
     )
@@ -340,7 +339,7 @@ def _run_picard_contraction(spec: ExperimentSpec) -> ExperimentResult:
         CheckResult("picard-ratio", report.max_ratio, -np.inf, bound,
                     f"max per-sweep ratio, bound gain + 1e-6 on horizon {horizon:g}"),
         # converged exactly when the last sweep's change is within the tolerance
-        CheckResult("picard-converged", report.changes[-1], -np.inf, cfg.picard_tol,
+        CheckResult("picard-converged", report.changes[-1], -np.inf, PICARD_TOL,
                     f"last sweep change after {report.iterations} sweeps"),
         CheckResult("picard-vs-steps", agreement, -np.inf, 1e-8 + dt,
                     "sup difference of picard and method-of-steps trajectories"),
@@ -500,7 +499,7 @@ def _run_convergence_study(spec: ExperimentSpec) -> ExperimentResult:
     for dt in dts:
         solver = DelaySolver(grid, params, SolverConfig(dt))
         psi = Segment.from_function(grid, params.tau, dt, psi_fn)
-        terminals.append(solver.solve(psi, path, horizon).field_at(horizon).values.copy())
+        terminals.append(solver.solve(psi, path, horizon).values[-1].copy())
         del solver  # free this solver's N = 800 matrices before the next is built
     errors = [float(np.max(np.abs(term - terminals[-1]))) for term in terminals[:2]]
     ratio = errors[0] / errors[1] if errors[1] > 0 else float("inf")

@@ -32,28 +32,32 @@ whose nonnegativity makes the sup-norm contraction of the nonlocal term
 exact; its interpolation error enters only through the dt-weighted
 forcing sum and stays O(dx^2) without amplification.
 
-The recursion runs on a (frames, B, nodes) stack: B histories sharing one
-path and horizon advance together, in delay blocks of m steps (the method
-of steps).  Steps k0 .. k0+m-1 read only frames k0 .. k0+m-1, all final
-once frame k0+m is, so their forcing is formed at once, each product
-still one BLAS call per frame: BLAS may round a row of one GEMM
-differently with the GEMM's row count and the row's place in it, so a
-GEMM over a whole block would tie the bits to the block alignment, which
-a restart shifts.  A batch of one is exactly the matrix-vector arithmetic
-above; a larger batch may round a member differently in the last bits, so
-batch composition must follow from the config alone, never scheduling.
+The recursion runs on a (frames, B, nodes) stack in delay blocks of m
+steps (the method of steps), by two routes: :meth:`DelaySolver.solve`
+keeps every frame of one history, and :meth:`DelaySolver.terminal_segments`
+advances B histories sharing one path and horizon together and keeps
+only their terminal segments.  Steps k0 .. k0+m-1 read only frames
+k0 .. k0+m-1, all final once frame k0+m is, so their forcing is formed
+at once, each product still one BLAS call per frame: BLAS may round a
+row of one GEMM differently with the GEMM's row count and the row's
+place in it, so a GEMM over a whole block would tie the bits to the block
+alignment, which a restart shifts.  A batch of one is exactly the
+matrix-vector arithmetic above; a larger batch may round a member
+differently in the last bits, so batch composition must follow from the
+config alone, never scheduling.
 A solve holds that stack and nothing else of its horizon's size: the OU
 values are a few numbers per frame, and a block's rows live for the
-block.  A :class:`Trajectory` segment is a copy, so a caller that keeps
-only a terminal segment frees the stack with the trajectory, and
-:meth:`DelaySolver.terminal_segments` never builds it: it steps the same
-blocks, with the same bits, in a window of a few delay blocks.
+block.  A :class:`Trajectory`'s terminal segment is a copy, so a caller
+that keeps only it frees the stack with the trajectory, and
+:meth:`DelaySolver.terminal_segments` never builds the stack: it steps
+the same blocks, with the same bits, in a window of a few delay blocks.
 
 Everything downstream leans on two exactness properties of this module:
 restarting from a stored segment reproduces the continued run bit for
 bit (the flow property), and Picard iteration of the same recursion
-reaches the method-of-steps trajectory exactly after ceil(T/tau) sweeps
-because each sweep extends the region of correct delayed values by tau.
+(:meth:`DelaySolver.picard_solve`) reaches the method-of-steps trajectory
+exactly after ceil(T/tau) sweeps because each sweep extends the region of
+correct delayed values by tau.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ __all__ = [
 ]
 
 _MODES = ("method-of-steps", "picard")
-# Sweep cap of the Picard mode; picard_solve stops earlier at picard_tol.
+# picard_solve stops at a sweep change <= PICARD_TOL, or after the sweep cap.
+PICARD_TOL = 1e-10
 _PICARD_MAX_SWEEPS = 50
 # terminal_segments steps this many frames per window at least, in whole
 # delay blocks: one block per window at m = 1 paid a _sweep call per step.
@@ -93,20 +98,19 @@ class SolverConfig:
     """Time stepping configuration.
 
     dt must divide tau exactly and be an integer multiple of the driving
-    path's knot spacing.
+    path's knot spacing.  Every solve steps by the method of steps;
+    ``mode = "picard"`` only makes the build check dt against the
+    contraction horizon that :meth:`DelaySolver.picard_solve` relies on.
     """
 
     dt: float
     mode: str = "method-of-steps"
-    picard_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not (np.isfinite(self.picard_tol) and self.picard_tol > 0):
-            raise ParameterError(f"picard_tol must be positive, got {self.picard_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -129,36 +133,16 @@ class Trajectory:
         v.setflags(write=False)
 
     @property
-    def t_end(self) -> float:
-        return (self.values.shape[0] - 1 - self.history_frames) * self.dt
-
-    def frame_index(self, t: float) -> int:
-        m = self.history_frames
-        k = m + lattice_steps(t, self.dt, "trajectory time", minimum=-m)
-        if k >= self.values.shape[0]:
-            raise ParameterError(f"t = {t} is not a frame time of the trajectory")
-        return k
-
-    def field_at(self, t: float) -> Field:
-        return Field(self.grid, self.values[self.frame_index(t)])
-
-    def segment_at(self, t: float) -> Segment:
-        """History window of length tau ending at lattice time t >= 0, as a
-        copy, so a kept segment does not keep the trajectory's stack alive."""
-        hi = self.frame_index(t)
-        if hi < self.history_frames:
-            raise ParameterError(f"t = {t} precedes the end of the initial history")
-        frames = self.values[hi - self.history_frames : hi + 1].copy()
-        return Segment(self.grid, self.tau, self.dt, frames)
-
-    @property
     def terminal_segment(self) -> Segment:
-        return self.segment_at(self.t_end)
+        """The last tau/dt + 1 frames, as a copy, so a kept segment does not
+        keep the trajectory's stack alive."""
+        frames = self.values[-self.history_frames - 1 :].copy()
+        return Segment(self.grid, self.tau, self.dt, frames)
 
 
 @dataclass(frozen=True)
 class PicardReport:
-    """Per-sweep convergence record of the fixed-point mode."""
+    """Per-sweep convergence record of :meth:`DelaySolver.picard_solve`."""
 
     iterations: int
     changes: tuple[float, ...]
@@ -223,9 +207,9 @@ class DelaySolver:
     """Precomputed-matrix integrator for one (grid, params, config) triple.
 
     Matrices are built once and shared read-only by every solve.
-    :meth:`_sweep` is the one step kernel, on (frames, B, nodes) stacks
-    or on the windows of :meth:`terminal_segments`; :meth:`solve` is its
-    batch of one.
+    :meth:`_sweep` is the one step kernel: :meth:`solve` runs it once on a
+    batch of one, :meth:`terminal_segments` once per window of a batch,
+    and :meth:`picard_solve` once per sweep.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, cfg: SolverConfig):
@@ -271,10 +255,6 @@ class DelaySolver:
             out[: m + 1, b] = psi.values
         return out
 
-    def _trajectories(self, out: np.ndarray) -> list[Trajectory]:
-        tau, dt = self.params.tau, self.cfg.dt
-        return [Trajectory(self.grid, tau, dt, out[:, b]) for b in range(out.shape[1])]
-
     def noise_series(self, path: WienerPath, horizon: float) -> np.ndarray:
         """OU values z at all frame times -tau .. horizon, shape (m, frames).
 
@@ -302,10 +282,10 @@ class DelaySolver:
         and the OU values z of every frame.
 
         Block k0 .. k1-1 (k1 <= k0 + m) starts with ``out`` complete through
-        frame k0 + m, so delayed[k0:k1] is final in both modes: the block's
-        noise rows are formed once, and f, Disp and S(dt/2) run once on its
-        stack, one BLAS call per frame and never one flattened GEMM (module
-        docstring); only S(dt) runs frame by frame.
+        frame k0 + m, so delayed[k0:k1] is final for either ``delayed``: the
+        block's noise rows are formed once, and f, Disp and S(dt/2) run once
+        on its stack, one BLAS call per frame and never one flattened GEMM
+        (module docstring); only S(dt) runs frame by frame.
         """
         m, dt, n = self.delay_steps, self.cfg.dt, out.shape[0] - self.delay_steps - 1
         full, half, p = self._step_full.T, self._step_half.T, self.params
@@ -325,32 +305,20 @@ class DelaySolver:
     # -- integration --------------------------------------------------------
 
     def solve(self, psi: Segment, path: WienerPath, horizon: float) -> Trajectory:
-        """Integrate the configured mode from history psi over the horizon."""
-        return self.solve_batch([psi], path, horizon)[0]
-
-    def solve_batch(
-        self, psis: Sequence[Segment], path: WienerPath, horizon: float
-    ) -> list[Trajectory]:
-        """Advance histories that share one path and horizon as one batch.
-
-        Picard mode solves the members one at a time: each has its own sweeps.
-        """
-        if self.cfg.mode == "picard":
-            return [self.picard_solve(psi, path, horizon)[0] for psi in psis]
-        out = self._frames(psis, path, horizon)
+        """Step history psi over the horizon by the method of steps, as a
+        (frames, 1, nodes) stack; keep every frame."""
+        out = self._frames([psi], path, horizon)
         self._sweep(out, out, self.noise_series(path, horizon))
-        return self._trajectories(out)
+        return Trajectory(self.grid, self.params.tau, self.cfg.dt, out[:, 0])
 
     def terminal_segments(
         self, psis: Sequence[Segment], path: WienerPath, horizon: float
     ) -> list[Segment]:
-        """:meth:`solve_batch`'s terminal segments, bit for bit, stepped in a
-        window of m + 1 + k m frames, k = ceil(64 / m), whose last m + 1
-        frames move to the front after each pass.  Windows start at multiples
-        of m, so every delay block and product is the stack's.  Picard mode
-        keeps whole sweeps: each reads the previous one over the horizon."""
-        if self.cfg.mode == "picard":
-            return [traj.terminal_segment for traj in self.solve_batch(psis, path, horizon)]
+        """Terminal segments of histories that share one path and horizon,
+        stepped as one batch in a window of m + 1 + k m frames, k =
+        ceil(64 / m), whose last m + 1 frames move to the front after each
+        pass.  Windows start at multiples of m, so every delay block and
+        product is that of one whole stack of the batch."""
         m = self.delay_steps
         w = m * -(-_WINDOW_STEPS // m)
         out = self._frames(psis, path, horizon, w)
@@ -361,7 +329,8 @@ class DelaySolver:
                 out[: m + 1] = out[w:]
             win = out[: m + 1 + min(w, n - s)]
             self._sweep(win, win, z[:, s : s + win.shape[0]])
-        return [traj.terminal_segment for traj in self._trajectories(win)]
+        grid, tau, dt = self.grid, self.params.tau, self.cfg.dt
+        return [Segment(grid, tau, dt, win[-m - 1 :, b].copy()) for b in range(len(psis))]
 
     def picard_solve(
         self, psi: Segment, path: WienerPath, horizon: float
@@ -387,9 +356,9 @@ class DelaySolver:
             np.subtract(new[m + 1 :], cur[m + 1 :], out=cur[m + 1 :])
             changes.append(float(np.max(np.abs(cur[m + 1 :], out=cur[m + 1 :]))))
             cur = new
-            if changes[-1] <= self.cfg.picard_tol:
+            if changes[-1] <= PICARD_TOL:
                 break
         ratios = tuple(b / a for a, b in zip(changes, changes[1:]) if a > 0.0)
         report = PicardReport(len(changes), tuple(changes), ratios)
-        return self._trajectories(cur)[0], report
+        return Trajectory(self.grid, self.params.tau, self.cfg.dt, cur[:, 0]), report
 

@@ -372,10 +372,10 @@ def test_terminal_reconstruction_equals_full_trajectory_route():
     alone = full_u(solver.solve(v_history(phis[0]), shifted, t))
     assert np.array_equal(pullback_state(solver, phis[0], path, t).values, alone)
     assert np.array_equal(advance_state(solver, phis[0], shifted, t).values, alone)
-    batch = solver.solve_batch([v_history(phi) for phi in phis], shifted, t)
+    batch = solver.terminal_segments([v_history(phi) for phi in phis], shifted, t)
     segs = pullback_state(solver, phis, path, t)
-    for seg, traj in zip(segs, batch):
-        assert np.array_equal(seg.values, full_u(traj))
+    for seg, v in zip(segs, batch):
+        assert np.array_equal(seg.values, v.values + z[-(m + 1) :])
 
 
 def test_batched_pullback_runs_match_single_runs():

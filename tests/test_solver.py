@@ -17,7 +17,9 @@ from rdslab.model import ModelParams, Nonlinearity, default_profiles
 from rdslab.noise import noise_rows, ou_series, sample_wiener, zero_wiener
 from rdslab.pullback import advance_state
 from rdslab.semigroup import DirichletHeatSemigroup
+import rdslab.solver
 from rdslab.solver import (
+    PICARD_TOL,
     DelaySolver,
     SolverConfig,
     Trajectory,
@@ -60,6 +62,15 @@ def live_path(params, dt, horizon, seed, m=None):
     need = 40.0 / params.mu + params.tau + 1.0
     n = np.ceil(need / dt)
     return sample_wiener(m or params.m, -n * dt, max(horizon, dt), dt, seed)
+
+
+def frame_at(traj, t: float) -> np.ndarray:
+    """The trajectory's field at lattice time t >= -tau."""
+    return traj.values[traj.history_frames + int(round(t / traj.dt))]
+
+
+def steps_of(traj) -> int:
+    return traj.values.shape[0] - 1 - traj.history_frames
 
 
 # ----------------------------------------------------------------- feedback
@@ -156,12 +167,12 @@ def test_zero_forcing_matches_semigroup_closed_form():
         * GRID.nodes
         * np.exp(-(GRID.nodes ** 2) / (4.0 * (a + t)))
     )
-    out = traj.field_at(t).values
+    out = frame_at(traj, t)
     rel = np.max(np.abs(out - exact)) / np.max(np.abs(exact))
     assert rel <= 1e-4
     # decay estimate along the way
     for s in (0.2, 0.6, 1.0):
-        assert sup_norm(traj.field_at(s)) <= np.exp(-params.mu * s) * sup_norm(psi.frame(psi.n_frames - 1)) + 1e-9
+        assert sup_norm(Field(GRID, frame_at(traj, s))) <= np.exp(-params.mu * s) * sup_norm(psi.frame(psi.n_frames - 1)) + 1e-9
 
 
 def test_zero_everything_stays_zero():
@@ -226,10 +237,10 @@ def test_solver_rejects_histories_off_its_lattice():
         with pytest.raises(ParameterError, match=named):
             solver.solve(psi, path, 0.3)
         with pytest.raises(ParameterError, match=named):
-            solver.solve_batch([Segment.from_function(GRID, params.tau, dt, bump), psi], path, 0.3)
+            solver.terminal_segments([Segment.from_function(GRID, params.tau, dt, bump), psi], path, 0.3)
     # a tau and dt within the lattice tolerance of the solver's are accepted
     near = Segment.from_function(GRID, params.tau * (1 + 1e-12), dt * (1 + 1e-12), bump)
-    assert solver.solve(near, path, 0.3).t_end == pytest.approx(0.3)
+    assert steps_of(solver.solve(near, path, 0.3)) == 30
 
 
 def test_path_may_be_finer_than_solver_lattice():
@@ -238,7 +249,7 @@ def test_path_may_be_finer_than_solver_lattice():
     psi = Segment.constant(Field.zero(GRID), params.tau, 0.02)
     fine = live_path(params, 0.01, 0.3, seed=2)
     traj = solver.solve(psi, fine, 0.3)
-    assert traj.t_end == pytest.approx(0.3)
+    assert steps_of(traj) == 15
 
 
 # ----------------------------------------------------------- trajectory API
@@ -251,14 +262,13 @@ def test_trajectory_indexing_contracts():
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: (1 + xi) * x * np.exp(-x))
     path = live_path(params, dt, 0.5, seed=3)
     traj = solver.solve(psi, path, 0.5)
-    assert np.array_equal(traj.segment_at(0.0).values, psi.values)
-    assert np.array_equal(traj.field_at(-params.tau).values, psi.values[0])
-    seg = traj.segment_at(0.5)
-    assert np.array_equal(seg.values, traj.terminal_segment.values)
-    assert np.array_equal(seg.frame(seg.n_frames - 1).values, traj.field_at(0.5).values)
-    assert traj.t_end == pytest.approx(0.5)
-    with pytest.raises(ParameterError):
-        traj.field_at(0.505)
+    m = traj.history_frames
+    assert m == 10 and steps_of(traj) == 50
+    assert np.array_equal(traj.values[: m + 1], psi.values)
+    seg = traj.terminal_segment
+    assert (seg.tau, seg.dt) == (params.tau, dt)
+    assert np.array_equal(seg.values, traj.values[-(m + 1) :])
+    assert np.array_equal(seg.frame(seg.n_frames - 1).values, frame_at(traj, 0.5))
 
 
 def test_trajectory_requires_whole_history_frames_like_segment():
@@ -267,13 +277,12 @@ def test_trajectory_requires_whole_history_frames_like_segment():
         Segment(grid, 0.1, 0.03, np.zeros((4, 11)))
     with pytest.raises(ParameterError, match="tau"):
         Trajectory(grid, 0.1, 0.03, np.zeros((4, 11)))
-    traj = Trajectory(grid, 0.1, 0.025, np.zeros((7, 11)))
-    assert traj.history_frames == 4 and traj.t_end == pytest.approx(0.05)
-    assert traj.frame_index(-0.1) == 0 and traj.frame_index(0.05) == 6
-    with pytest.raises(ParameterError, match="trajectory time -0.125 is below -4 steps"):
-        traj.frame_index(-0.125)  # before the history
-    with pytest.raises(ParameterError, match="frame time"):
-        traj.frame_index(0.075)  # past the end
+    with pytest.raises(ParameterError, match="shape"):
+        Trajectory(grid, 0.1, 0.025, np.zeros((4, 11)))  # shorter than the history
+    values = np.arange(77.0).reshape(7, 11)
+    traj = Trajectory(grid, 0.1, 0.025, values)
+    assert traj.history_frames == 4 and steps_of(traj) == 2
+    assert np.array_equal(traj.terminal_segment.values, values[2:])
 
 
 def test_all_frames_dirichlet():
@@ -332,7 +341,6 @@ def test_segments_do_not_pin_their_trajectory():
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
     traj = solver.solve(psi, live_path(params, dt, 0.5, seed=5), 0.5)
     assert not np.shares_memory(traj.terminal_segment.values, traj.values)
-    assert not np.shares_memory(traj.segment_at(0.2).values, traj.values)
 
 
 def _peak_bytes(call) -> int:
@@ -380,7 +388,7 @@ def test_picard_ratio_below_gain_and_matches_steps():
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x) * (1 + xi))
     path = live_path(params, dt, horizon, seed=5)
     traj, report = picard.picard_solve(psi, path, horizon)
-    assert report.changes[-1] <= picard.cfg.picard_tol
+    assert report.changes[-1] <= PICARD_TOL
     assert report.max_ratio <= picard_gain(params, horizon) + 1e-6
     ref = steps.solve(psi, path, horizon)
     assert np.max(np.abs(traj.values - ref.values)) <= 1e-8 + dt
@@ -406,7 +414,7 @@ def test_picard_trajectory_equals_steps_bit_for_bit():
     horizon = np.floor(0.9 * contraction_interval(params) / dt) * dt
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x) * (1 + xi))
     path = live_path(params, dt, horizon, seed=11)
-    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard")).solve(psi, path, horizon)
+    picard, _ = DelaySolver(GRID, params, SolverConfig(dt, mode="picard")).picard_solve(psi, path, horizon)
     steps = DelaySolver(GRID, params, SolverConfig(dt)).solve(psi, path, horizon)
     assert np.array_equal(picard.values, steps.values)
 
@@ -423,30 +431,17 @@ def test_batch_of_one_is_solve_and_batches_rerun_byte_identical():
         for a in (1.0, -2.0, 0.5)
     ]
     path = live_path(params, dt, horizon, seed=12)
-    single = [solver.solve(psi, path, horizon) for psi in psis]
-    assert np.array_equal(solver.solve_batch(psis[:1], path, horizon)[0].values, single[0].values)
-    batch = solver.solve_batch(psis, path, horizon)
-    again = solver.solve_batch(psis, path, horizon)
+    single = [solver.solve(psi, path, horizon).terminal_segment for psi in psis]
+    assert np.array_equal(solver.terminal_segments(psis[:1], path, horizon)[0].values, single[0].values)
+    batch = solver.terminal_segments(psis, path, horizon)
+    again = solver.terminal_segments(psis, path, horizon)
     for one, member, rerun in zip(single, batch, again):
         assert np.array_equal(member.values, rerun.values)
         # the batch sums the same products in another order: last bits only
         assert np.max(np.abs(member.values - one.values)) <= 1e-13
     with pytest.raises(ParameterError, match="dt"):
         other = Segment.from_function(GRID, params.tau, dt / 2, lambda xi, x: 0 * x)
-        solver.solve_batch([psis[0], other], path, horizon)
-
-
-def test_picard_batch_solves_each_member():
-    params = live_params(mu=1.0, epsilon=2.0, tau=0.1)
-    dt, horizon = 0.005, 0.1
-    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard"))
-    psis = [
-        Segment.from_function(GRID, params.tau, dt, lambda xi, x, a=a: a * x * np.exp(-x))
-        for a in (1.0, 3.0)
-    ]
-    path = live_path(params, dt, horizon, seed=13)
-    for member, psi in zip(picard.solve_batch(psis, path, horizon), psis):
-        assert np.array_equal(member.values, picard.solve(psi, path, horizon).values)
+        solver.terminal_segments([psis[0], other], path, horizon)
 
 
 # ------------------------------------------------------------ delay blocks
@@ -497,19 +492,25 @@ def test_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon, feedback):
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = live_path(params, dt, horizon, seed=21)
     psis = _block_psis(tau, dt)
+    m = solver.delay_steps
+    # a batch's one output is its terminal segments
     for b in (1, 2, 5):
         ref = _frame_by_frame(solver, psis[:b], path, horizon)
-        for j, traj in enumerate(solver.solve_batch(psis[:b], path, horizon)):
-            assert np.array_equal(traj.values, ref[:, j])
+        segs = solver.terminal_segments(psis[:b], path, horizon)
+        assert len(segs) == b
+        for j, seg in enumerate(segs):
+            assert np.array_equal(seg.values, ref[-(m + 1) :, j])
     ref = _frame_by_frame(solver, psis[:1], path, horizon)[:, 0]
     assert np.array_equal(solver.solve(psis[0], path, horizon).values, ref)
 
 
 @_BLOCK_CASES
-def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon):
-    # a sweep reads its delayed states from the previous sweep, not from out
+def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon, monkeypatch):
+    # a sweep reads its delayed states from the previous sweep, not from out;
+    # sweeps run until one changes nothing
+    monkeypatch.setattr(rdslab.solver, "PICARD_TOL", 1e-300)
     params = live_params(tau=tau)
-    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard", picard_tol=1e-300))
+    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard"))
     path = live_path(params, dt, horizon, seed=22)
     psi = _block_psis(tau, dt)[0]
     traj, report = picard.picard_solve(psi, path, horizon)
@@ -522,7 +523,8 @@ def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon):
 # 10; m = 70 makes each window one delay block, moved with a frame of overlap
 @pytest.mark.parametrize("m", [1, 2, 10, 70])
 @pytest.mark.parametrize("components", [1, 3])
-def test_terminal_segments_equal_solve_batch(m, components):
+def test_terminal_segments_equal_solve_batch(m, components, monkeypatch):
+    # the reference is the batch's whole stack: one window over the horizon
     dt = 0.01
     params = live_params(tau=m * dt, profiles=default_profiles(components))
     solver = DelaySolver(GRID, params, SolverConfig(dt))
@@ -533,23 +535,14 @@ def test_terminal_segments_equal_solve_batch(m, components):
         path = live_path(params, dt / 2, horizon, seed=30 + steps)
         for b in (1, 5):
             segs = solver.terminal_segments(psis[:b], path, horizon)
-            ref = solver.solve_batch(psis[:b], path, horizon)
+            with monkeypatch.context() as whole:
+                whole.setattr(rdslab.solver, "_WINDOW_STEPS", steps)
+                ref = solver.terminal_segments(psis[:b], path, horizon)
             assert len(segs) == b
-            for seg, traj in zip(segs, ref):
-                assert np.array_equal(seg.values, traj.terminal_segment.values)
+            for seg, stack in zip(segs, ref):
+                assert np.array_equal(seg.values, stack.values)
         one = solver.terminal_segments(psis[:1], path, horizon)[0]
         assert np.array_equal(one.values, solver.solve(psis[0], path, horizon).terminal_segment.values)
-
-
-def test_picard_terminal_segments_keep_whole_sweeps():
-    params = live_params(epsilon=2.0)
-    dt, horizon = 0.005, 0.4
-    picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard"))
-    psis = _block_psis(params.tau, dt)[:2]
-    path = live_path(params, dt, horizon, seed=31)
-    for seg, psi in zip(picard.terminal_segments(psis, path, horizon), psis):
-        traj, _ = picard.picard_solve(psi, path, horizon)
-        assert np.array_equal(seg.values, traj.terminal_segment.values)
 
 
 # ------------------------------------------------------------- conjugation
@@ -640,7 +633,7 @@ def test_lipschitz_in_initial_data():
     d0 = float(np.max(np.abs(psi1.values - psi2.values)))
     growth = params.feedback_lipschitz * np.exp(params.mu * params.tau) - params.mu
     for t in (0.25, 0.5, 1.0):
-        dist = sup_norm(Field(GRID, t1.field_at(t).values - t2.field_at(t).values))
+        dist = sup_norm(Field(GRID, frame_at(t1, t) - frame_at(t2, t)))
         bound = np.exp(growth * t + params.mu * params.tau) * d0
         assert dist <= bound + 1e-9
 
@@ -672,7 +665,7 @@ def test_variation_of_constants_consistency():
         force = force + noise_rows(params.profiles.second_derivatives(GRID.nodes), zq)[0]
         weight = flow.operator(t_end - r) if t_end - r > 0 else np.eye(GRID.nodes.size)
         acc = acc + dr * (weight @ force)
-    gap = np.max(np.abs(traj.field_at(t_end).values - acc))
+    gap = np.max(np.abs(traj.values[-1] - acc))
     assert gap <= 5.0 * dt
 
 
@@ -686,7 +679,7 @@ def test_first_order_accuracy():
     for dt in (0.02, 0.01, dt_ref):
         solver = DelaySolver(GRID, params, SolverConfig(dt))
         psi = Segment.from_function(GRID, params.tau, dt, psi_fn)
-        outs[dt] = solver.solve(psi, path, horizon).field_at(horizon).values
+        outs[dt] = solver.solve(psi, path, horizon).values[-1]
     e1 = np.max(np.abs(outs[0.02] - outs[dt_ref]))
     e2 = np.max(np.abs(outs[0.01] - outs[dt_ref]))
     assert 1.5 <= e1 / e2 <= 3.0

@@ -7,14 +7,21 @@ traced benchmark run report ``correct: false``.  This test reads that
 file as text (it imports and edits nothing there) and checks every
 target and every argument name a hook reads against the package, and
 every attribute a hook reads off a solver, trajectory, report or segment
-against one tiny real call of each traced function.
+against one tiny real call of each traced function.  It also runs each
+workload's experiments at small sizes under the installed trace, in a
+subprocess per workload, and checks that every wrapper the workload
+expects is reached.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +32,9 @@ from rdslab.model import ModelParams, default_profiles
 from rdslab.noise import sample_wiener
 from rdslab.solver import DelaySolver, SolverConfig, Trajectory
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
 
 # Targets removed on purpose; the trace lists them as absent and reads 0.
 RETIRED = {"noise.ou_vector": "folded into ou_series, the only OU evaluator"}
@@ -161,6 +170,63 @@ def test_solves_reach_noise_series_and_return_trajectories(monkeypatch):
     solver = DelaySolver(grid, params, SolverConfig(dt))
     traj = solver.solve(psis[0], path, horizon)
     assert calls == [horizon] and isinstance(traj, Trajectory)
-    batch = solver.solve_batch(psis, path, horizon)
-    assert calls == [horizon, horizon]
-    assert len(batch) == 2 and all(isinstance(t, Trajectory) for t in batch)
+    calls.clear()
+    segs = solver.terminal_segments(psis, path, horizon)
+    assert calls == [horizon]
+    assert len(segs) == 2 and all(isinstance(seg, Segment) for seg in segs)
+
+
+def _workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# Each experiment at a size that still reaches every traced layer.
+SMALL = {
+    "absorbing": {"paths": 1, "segments": 2, "t_max": 2},
+    "fixed-point": {"horizon": 3},
+    "cocycle": {},
+    "convergence-study": {"N": 100},
+    "semigroup-bounds": {},
+    "kernel-bound": {},
+    "picard-contraction": {"N": 50},
+    "temperedness": {"paths": 2, "horizon": 20},
+    "ou-stats": {"paths": 32},
+}
+
+_TRACED_RUN = r"""
+import json, sys, traceback
+src, perfbench, workload, small = sys.argv[1:5]
+sys.path[:0] = [src, perfbench]
+import rdslab
+import layertrace
+from workloads import WORKLOADS
+tracer = layertrace.Tracer()
+missing = layertrace.install(tracer)
+errors = []
+for experiment, _ in WORKLOADS[workload]:
+    keys = {"experiment": experiment, "seed": 20260814, **json.loads(small)[experiment]}
+    text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    try:
+        rdslab.run_experiment(rdslab.parse_config(text))
+    except Exception:
+        errors.append(traceback.format_exc())
+print(json.dumps({"rdslab": rdslab.__file__, "errors": errors,
+                  "missing_calls": layertrace.missing_calls(tracer, workload, missing)}))
+"""
+
+
+@pytest.mark.parametrize("workload", sorted(_workloads()))
+def test_every_expected_wrapper_is_reached(workload):
+    # A wrapper that saw no call makes a traced benchmark run incorrect,
+    # e.g. when a route moves off a traced method.
+    args = [str(ROOT / "src"), str(PERFBENCH), workload, json.dumps(SMALL)]
+    done = subprocess.run([sys.executable, "-c", _TRACED_RUN, *args],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert Path(record["rdslab"]).is_relative_to(ROOT / "src")
+    assert record["errors"] == []
+    assert record["missing_calls"] == []
