@@ -20,8 +20,9 @@ grid        spatial lattice, fields, history segments, norms
 quadrature  product-integration matrices for Gaussian kernels
 kernel      nonlocal dispersal operator (image-pair Gaussian kernel)
 semigroup   Dirichlet heat propagator with killing, bound measurements
-noise       two-sided Wiener paths, stationary OU fields, temperedness
-model       model parameters, nonlinearities, noise profiles
+noise       two-sided Wiener paths, stationary OU fields, temperedness,
+            the noise profiles
+model       model parameters, nonlinearities
 solver      delayed mild-solution stepper (method of steps / Picard)
 pullback    pullback runs, absorbing radius, random fixed point
 config      flat key = value experiment configs
@@ -50,12 +51,11 @@ from .grid import (
     segment_co_norm,
     sup_norm,
 )
-from .kernel import DispersalKernel, KernelParams, tail_mass
-from .model import ModelParams, Nonlinearity, default_profiles
+from .kernel import DispersalKernel, tail_mass
+from .model import ModelParams, Nonlinearity
 from .noise import (
     NoiseProfiles,
     OUParams,
-    ProfileSpec,
     WienerPath,
     empirical_decay_bound,
     ou_series,
@@ -108,14 +108,11 @@ __all__ = [
     "segment_co_norm",
     "sup_norm",
     "DispersalKernel",
-    "KernelParams",
     "tail_mass",
     "ModelParams",
     "Nonlinearity",
-    "default_profiles",
     "NoiseProfiles",
     "OUParams",
-    "ProfileSpec",
     "WienerPath",
     "empirical_decay_bound",
     "ou_series",

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConditionViolatedError, ParameterError
 from .grid import Grid, lattice_steps, make_grid
-from .model import ModelParams, Nonlinearity, default_profiles
+from .model import ModelParams, Nonlinearity
+from .noise import NoiseProfiles
 from .solver import contraction_interval
 
 __all__ = ["ExperimentSpec", "parse_config", "EXPERIMENTS", "config_template"]
@@ -137,7 +138,7 @@ class ExperimentSpec:
             alpha=v["alpha"],
             tau=v["tau"],
             nonlinearity=Nonlinearity(v["nonlinearity"], v["lipschitz"], v["bound"]),
-            profiles=default_profiles(v["m"], span=v["L"]),
+            profiles=NoiseProfiles(v["m"], v["L"]),
         )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .config import ExperimentSpec
 from .errors import ParameterError
 from .grid import Field, Segment, segment_co_norm, sup_norm
-from .kernel import DispersalKernel, KernelParams, tail_mass
+from .kernel import DispersalKernel, tail_mass
 from .noise import (
     OUParams,
     default_s_cut,
@@ -127,8 +127,8 @@ def _run_kernel_bound(spec: ExperimentSpec) -> ExperimentResult:
     """Dispersal operator never amplifies the sup norm; unit input maps
     to the error-function profile away from the artificial right edge."""
     grid = spec.grid()
-    params = KernelParams(spec["alpha"])
-    op = DispersalKernel(params, grid)
+    alpha = spec["alpha"]
+    op = DispersalKernel(alpha, grid)
     trials = spec["trials"]
 
     def one(i: int) -> tuple:
@@ -147,9 +147,9 @@ def _run_kernel_bound(spec: ExperimentSpec) -> ExperimentResult:
     # the trustworthy inner half and report the quantified leak.
     inner = grid.nodes <= grid.length / 2.0 + 1e-12
     unit = op.apply_values(np.ones(grid.nodes.size))
-    exact = erf(grid.nodes / (2.0 * np.sqrt(params.alpha)))
+    exact = erf(grid.nodes / (2.0 * np.sqrt(alpha)))
     erf_err = float(np.max(np.abs(unit[inner] - exact[inner])))
-    leak = tail_mass(params, grid)
+    leak = tail_mass(alpha, grid)
 
     checks = (
         CheckResult("kernel-sup-ratio", max_ratio, -np.inf, 1.0 + 1e-8,

@@ -157,10 +157,6 @@ class Field:
         return self
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-    @classmethod
     def zero(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n_cells + 1))
 

@@ -12,14 +12,12 @@ sup-norm contraction: applied to the constant 1 it returns
 erf(x / (2 sqrt(alpha))) < 1.
 
 The matrix uses linear product integration (see quadrature module), so
-entries are nonnegative and row sums equal the exact truncated kernel
-mass.  The contraction property therefore holds for the matrix itself,
-not merely up to quadrature error.
+entries are nonnegative and row sums are the truncated kernel mass,
+rounded: at most 1 up to one ulp.  The contraction property therefore
+holds for the matrix itself to that ulp, not up to quadrature error.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +25,10 @@ from .errors import ParameterError
 from .grid import Grid
 from .quadrature import erf, operator_matrix
 
-__all__ = [
-    "KernelParams",
-    "DispersalKernel",
-    "tail_mass",
-]
+__all__ = ["DispersalKernel", "tail_mass"]
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Dispersal parameters: maturation window alpha > 0."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ParameterError(f"alpha must be positive and finite, got {self.alpha!r}")
-
-
-def tail_mass(p: KernelParams | float, grid: Grid) -> float:
+def tail_mass(alpha: float, grid: Grid) -> float:
     """Neglected kernel mass beyond the domain: max over x <= L/2 of
     integral_L^infinity Gamma(alpha, x, y) dy.
 
@@ -54,7 +37,6 @@ def tail_mass(p: KernelParams | float, grid: Grid) -> float:
     x = L the neglected mass is O(1) for any L and the truncation would
     be meaningless.
     """
-    alpha = p.alpha if isinstance(p, KernelParams) else float(p)
     xs = grid.nodes[grid.nodes <= grid.length / 2.0 + 1e-12]
     s = 2.0 * np.sqrt(alpha)
     vals = 0.5 * ((1.0 - erf((grid.length - xs) / s)) - (1.0 - erf((grid.length + xs) / s)))
@@ -64,12 +46,11 @@ def tail_mass(p: KernelParams | float, grid: Grid) -> float:
 class DispersalKernel:
     """Precomputed dense matrix of the dispersal operator on a grid."""
 
-    def __init__(self, params: KernelParams | float, grid: Grid):
-        self.params = params if isinstance(params, KernelParams) else KernelParams(float(params))
+    def __init__(self, alpha: float, grid: Grid):
+        if not (np.isfinite(alpha) and alpha > 0):
+            raise ParameterError(f"alpha must be positive and finite, got {alpha!r}")
         self.grid = grid
-        self.matrix = operator_matrix(
-            grid.nodes, grid.nodes, self.params.alpha, kind="image_pair", order="linear"
-        )
+        self.matrix = operator_matrix(grid.nodes, grid.nodes, alpha, kind="image_pair", order="linear")
         self.matrix.setflags(write=False)
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:

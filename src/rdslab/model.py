@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionViolatedError, ParameterError
-from .noise import NoiseProfiles, ProfileSpec
+from .noise import NoiseProfiles
 
-__all__ = ["Nonlinearity", "ModelParams", "default_profiles"]
+__all__ = ["Nonlinearity", "ModelParams"]
 
 _NONLINEARITY_KINDS = ("zero", "scaled_tanh", "scaled_atan")
 
@@ -83,18 +83,6 @@ class Nonlinearity:
         return out if out.shape else float(out)
 
 
-def default_profiles(m: int = 1, span: float = 20.0) -> NoiseProfiles:
-    """First m shapes of the built-in family, in a fixed order."""
-    family = (
-        ProfileSpec("x2exp", 1.0),
-        ProfileSpec("xexp2", 1.0),
-        ProfileSpec("sinbump", 1.0, span),
-    )
-    if not (1 <= m <= len(family)):
-        raise ParameterError(f"m must be in 1..{len(family)}, got {m!r}")
-    return NoiseProfiles(family[:m])
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Rates and structure of the evolution problem.
@@ -119,7 +107,7 @@ class ModelParams:
     alpha: float
     tau: float
     nonlinearity: Nonlinearity = field(default_factory=lambda: Nonlinearity("scaled_tanh"))
-    profiles: NoiseProfiles = field(default_factory=default_profiles)
+    profiles: NoiseProfiles = field(default_factory=NoiseProfiles)
 
     def __post_init__(self) -> None:
         for name in ("mu", "alpha", "tau"):

@@ -51,7 +51,6 @@ __all__ = [
     "sde_residual",
     "temperedness_diagnostic",
     "empirical_decay_bound",
-    "ProfileSpec",
     "NoiseProfiles",
     "noise_rows",
 ]
@@ -295,65 +294,45 @@ def empirical_decay_bound(
 # -- spatial noise shapes --------------------------------------------------
 
 
-_PROFILE_KINDS = ("x2exp", "xexp2", "sinbump")
-
-
 @dataclass(frozen=True)
-class ProfileSpec:
-    """One noise shape: kind, amplitude, and (for sinbump) its span."""
+class NoiseProfiles:
+    """The first m shapes of the fixed family x^2 e^{-x}, x e^{-x^2} and
+    sin(pi x / span) x e^{-x}, in that order; one Wiener component each."""
 
-    kind: str
-    amplitude: float = 1.0
+    m: int = 1
     span: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _PROFILE_KINDS:
-            raise ParameterError(f"unknown profile kind {self.kind!r}; choose from {_PROFILE_KINDS}")
-        if not (np.isfinite(self.amplitude)):
-            raise ParameterError(f"profile amplitude must be finite, got {self.amplitude!r}")
+        if not (isinstance(self.m, (int, np.integer)) and 1 <= self.m <= 3):
+            raise ParameterError(f"m must be in 1..3, got {self.m!r}")
         if not (np.isfinite(self.span) and self.span > 0):
             raise ParameterError(f"profile span must be positive, got {self.span!r}")
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        a = self.amplitude
-        if self.kind == "x2exp":
-            return a * x * x * np.exp(-x)
-        if self.kind == "xexp2":
-            return a * x * np.exp(-x * x)
+        """g_j(x), shape (m, len(x)); only the m rows returned are evaluated."""
         k = np.pi / self.span
-        return a * np.sin(k * x) * x * np.exp(-x)
-
-    def second_derivative(self, x: np.ndarray) -> np.ndarray:
-        a = self.amplitude
-        if self.kind == "x2exp":
-            return a * (x * x - 4.0 * x + 2.0) * np.exp(-x)
-        if self.kind == "xexp2":
-            return a * (4.0 * x ** 3 - 6.0 * x) * np.exp(-x * x)
-        k = np.pi / self.span
-        e = np.exp(-x)
-        s, c = np.sin(k * x), np.cos(k * x)
-        return a * (-k * k * s * x * e + 2.0 * k * c * (1.0 - x) * e + s * (x - 2.0) * e)
-
-
-@dataclass(frozen=True)
-class NoiseProfiles:
-    """Ordered collection of noise shapes; one Wiener component each."""
-
-    specs: tuple[ProfileSpec, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.specs) < 1:
-            raise ParameterError("at least one noise profile is required")
-
-    @property
-    def m(self) -> int:
-        return len(self.specs)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.vstack([s.values(x) for s in self.specs])
+        family = (
+            lambda: x * x * np.exp(-x),
+            lambda: x * np.exp(-x * x),
+            lambda: np.sin(k * x) * x * np.exp(-x),
+        )
+        return np.vstack([g() for g in family[: self.m]])
 
     def second_derivatives(self, x: np.ndarray) -> np.ndarray:
-        return np.vstack([s.second_derivative(x) for s in self.specs])
+        """g_j''(x) in closed form, shape (m, len(x))."""
+        k = np.pi / self.span
+
+        def sinbump() -> np.ndarray:
+            e = np.exp(-x)
+            s, c = np.sin(k * x), np.cos(k * x)
+            return -k * k * s * x * e + 2.0 * k * c * (1.0 - x) * e + s * (x - 2.0) * e
+
+        family = (
+            lambda: (x * x - 4.0 * x + 2.0) * np.exp(-x),
+            lambda: (4.0 * x ** 3 - 6.0 * x) * np.exp(-x * x),
+            sinbump,
+        )
+        return np.vstack([g() for g in family[: self.m]])
 
     def sup_rss(self, x: np.ndarray) -> float:
         """sup over x of the root-sum-square profile magnitude."""

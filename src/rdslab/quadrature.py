@@ -21,17 +21,22 @@ Two interpolation orders are provided and the distinction is load-bearing:
 
 ``linear``
     Piecewise linear.  Never overshoots the data, so the assembled
-    matrix for the image pair has nonnegative entries and row sums
-    strictly below 1.  Operator-norm inequalities proved for the
-    continuum operators then hold exactly for the matrix.  Used wherever
-    a bound is asserted (dispersal operator, propagator decay checks,
-    the time stepper).
+    matrix for the image pair has nonnegative entries and row sums of
+    at most 1 up to one ulp (a sweep found rows of 1 + 2^-52, all at
+    dx / sigma >= 1.7).  Operator-norm inequalities proved for the
+    continuum operators then hold for the matrix to that ulp.  Used
+    wherever a bound is asserted (dispersal operator, propagator decay
+    checks).
 
 ``spline``
     Natural cubic spline, O(dx^4) on smooth data.  Used where accuracy
-    is asserted (semigroup composition law, closed-form reproduction).
-    Splines can overshoot rough data by a Lebesgue-type factor, which
-    would break supremum-sharp inequalities, hence the linear path above.
+    is asserted (semigroup composition law, closed-form reproduction),
+    and by the time stepper for S(dt) and S(dt/2).  It can overshoot
+    rough data, which breaks sup-sharp inequalities once sigma nears dx:
+    at N = 200, L = 20, mu = 1 the propagator's min entry and
+    ||S(t)||_inf e^{mu t} - 1 are -1.8e-5 and 2.0e-9 at t = 0.01,
+    -8.3e-4 and 7.3e-5 at t = 0.005, -1.7e-2 and 2.3e-3 at t = 0.0025.
+    At N = 800 the excess is at most 2.2e-16.
 
 Assembly uses the lattice.  The nodes must be uniform and every output
 point a whole number p_i of steps from ``in_nodes[0]`` (both checked by
@@ -60,8 +65,8 @@ every product whose result exceeds about 1e-290 bit for bit unchanged:
 a dropped term w_ij v_j is below 2.3e-308 |v_j|, less than half an ulp
 of such a result.
 It is not sparsification: only entries below the smallest normal go, so
-linear image-pair matrices stay nonnegative with row sums below 1,
-exactly.
+linear image-pair matrices stay nonnegative with row sums of at most 1
+up to one ulp.
 
 Accuracy.  A cell's Gaussian mass comes from the tail the cell lies in,
 so far cells keep their relative accuracy and linear image-pair matrices

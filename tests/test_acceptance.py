@@ -17,8 +17,8 @@ from rdslab.config import parse_config
 from rdslab.errors import ConditionViolatedError
 from rdslab.experiments import run_experiment
 from rdslab.grid import Field, Segment, make_grid, sup_norm
-from rdslab.model import ModelParams, default_profiles
-from rdslab.noise import sample_wiener
+from rdslab.model import ModelParams
+from rdslab.noise import NoiseProfiles, sample_wiener
 from rdslab.pullback import derived_constants, fixed_point_estimate, pullback_bound, pullback_conjugated
 from rdslab.semigroup import DirichletHeatSemigroup
 from rdslab.solver import DelaySolver, SolverConfig
@@ -70,7 +70,7 @@ def test_criterion_03_semigroup_law():
     flow = DirichletHeatSemigroup(grid, 1.0)
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
-        f = Field.from_function(grid, lambda x: x * np.exp(-(x ** 2) / (4.0 * a)))
+        f = Field(grid, grid.nodes * np.exp(-(grid.nodes ** 2) / (4.0 * a)))
         for t, s in ((1e-3, 0.1), (0.1, 0.4), (0.5, 0.5), (1.0, 4.0)):
             combined = flow.operator(t + s) @ f.values
             chained = flow.operator(t) @ (flow.operator(s) @ f.values)
@@ -83,7 +83,7 @@ def test_criterion_04_closed_form_oracle():
     grid = make_grid(20.0, 200)
     mu, a, t = 1.0, 1.0, 0.5
     flow = DirichletHeatSemigroup(grid, mu)
-    f = Field.from_function(grid, lambda x: x * np.exp(-(x ** 2) / (4.0 * a)))
+    f = Field(grid, grid.nodes * np.exp(-(grid.nodes ** 2) / (4.0 * a)))
     out = flow.operator(t) @ f.values
     exact = (
         np.exp(-mu * t) * (a / (a + t)) ** 1.5
@@ -149,7 +149,7 @@ def test_criterion_09_pullback_bound():
     assert _check(result, "pullback-sup-bound").passed
 
     grid = make_grid(20.0, 200)
-    params = ModelParams(mu=1.0, epsilon=1.0, alpha=1.0, tau=0.1, profiles=default_profiles(2))
+    params = ModelParams(mu=1.0, epsilon=1.0, alpha=1.0, tau=0.1, profiles=NoiseProfiles(2))
     solver = DelaySolver(grid, params, SolverConfig(0.01))
     path = sample_wiener(2, -50.0, 0.0, 0.01, seed=SEED)
     consts = derived_constants(params, grid, path, -8.1)
@@ -186,7 +186,7 @@ def test_criterion_11_exponential_fixed_point():
     with pytest.raises(ConditionViolatedError):
         parse_config(f"experiment = fixed-point\nseed = {SEED}\nmu = 1.5\n")
     grid = make_grid(20.0, 200)
-    weak = ModelParams(mu=1.5, epsilon=1.0, alpha=1.0, tau=0.5, profiles=default_profiles(1))
+    weak = ModelParams(mu=1.5, epsilon=1.0, alpha=1.0, tau=0.5, profiles=NoiseProfiles(1))
     solver = DelaySolver(grid, weak, SolverConfig(0.01))
     path = sample_wiener(1, -45.0, 1.0, 0.01, seed=SEED)
     phi1 = Segment.from_function(grid, 0.5, 0.01, lambda xi, x: x * np.exp(-x))

@@ -45,7 +45,7 @@ def test_field_validation():
 
 def test_field_dirichlet_flag():
     grid = make_grid(10.0, 100)
-    f = Field.from_function(grid, lambda x: x * np.exp(-x))
+    f = Field(grid, grid.nodes * np.exp(-grid.nodes))
     assert f.is_dirichlet
     g = Field(grid, np.ones(101))
     assert not g.is_dirichlet
@@ -55,7 +55,7 @@ def test_field_dirichlet_flag():
 
 def test_sup_norm():
     grid = make_grid(10.0, 100)
-    f = Field.from_function(grid, lambda x: np.sin(x))
+    f = Field(grid, np.sin(grid.nodes))
     assert sup_norm(f) == pytest.approx(np.max(np.abs(np.sin(grid.nodes))))
 
 
@@ -70,13 +70,13 @@ def test_compact_open_norm_frozen_oracle():
     #   n=1: 1, n=2: 2, n=3: 2, n=4: 2, tail: 2
     # norm = 1/2 + 2/4 + 2/8 + 2/16 + 2/16 = 1.5
     grid = make_grid(4.0, 400)
-    f = Field.from_function(grid, lambda x: np.minimum(x, 2.0))
+    f = Field(grid, np.minimum(grid.nodes, 2.0))
     assert co_norm(f) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_compact_open_norm_bounds_and_monotonicity():
     grid = make_grid(20.0, 200)
-    f = Field.from_function(grid, lambda x: x * np.exp(-x))
+    f = Field(grid, grid.nodes * np.exp(-grid.nodes))
     co = co_norm(f)
     # weighted sum of local sups is dominated by the global sup:
     # sum 2^{-n} + tail weight = 1.
@@ -103,7 +103,7 @@ def test_segment_construction_and_indexing():
 
 def test_segment_constant():
     grid = make_grid(10.0, 100)
-    f = Field.from_function(grid, lambda x: np.tanh(x))
+    f = Field(grid, np.tanh(grid.nodes))
     seg = Segment.constant(f, 0.3, 0.1)
     assert seg.n_frames == 4
     for k in range(4):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rdslab.errors import ConditionViolatedError, ParameterError
-from rdslab.model import ModelParams, Nonlinearity, default_profiles
+from rdslab.model import ModelParams, Nonlinearity
+from rdslab.noise import NoiseProfiles
 
 
 def test_scaled_tanh_respects_bound_and_lipschitz():
@@ -48,12 +49,14 @@ def test_nonlinearity_validation():
 
 
 def test_default_profiles_family():
-    profiles = default_profiles(3)
+    profiles = NoiseProfiles(3)
     assert profiles.m == 3
     with pytest.raises(ParameterError, match="m"):
-        default_profiles(4)
+        NoiseProfiles(4)
     with pytest.raises(ParameterError, match="m"):
-        default_profiles(0)
+        NoiseProfiles(0)
+    with pytest.raises(ParameterError, match="m"):
+        NoiseProfiles(2.0)
 
 
 def test_model_params_validation_names_fields():

@@ -14,7 +14,6 @@ from rdslab.grid import make_grid
 from rdslab.noise import (
     NoiseProfiles,
     OUParams,
-    ProfileSpec,
     WienerPath,
     default_s_cut,
     empirical_decay_bound,
@@ -194,26 +193,47 @@ def test_temperedness_diagnostic_decays():
 def test_profiles_values_and_curvature():
     grid = make_grid(20.0, 200)
     x = grid.nodes
-    for kind in ("x2exp", "xexp2", "sinbump"):
-        spec = ProfileSpec(kind, amplitude=1.3, span=20.0)
-        g = spec.values(x)
-        assert g[0] == 0.0
-        # finite-difference check of the closed-form second derivative
-        h = 1e-5
-        interior = x[5:-5]
-        fd = (spec.values(interior + h) - 2.0 * spec.values(interior) + spec.values(interior - h)) / h**2
-        exact = spec.second_derivative(interior)
-        assert np.max(np.abs(fd - exact)) < 1e-4
+    profiles = NoiseProfiles(3)
+    g = profiles.values(x)
+    assert g.shape == (3, x.size)
+    assert np.all(g[:, 0] == 0.0)
+    # finite-difference check of the closed-form second derivatives
+    h = 1e-5
+    interior = x[5:-5]
+    fd = (profiles.values(interior + h) - 2.0 * profiles.values(interior)
+          + profiles.values(interior - h)) / h**2
+    exact = profiles.second_derivatives(interior)
+    assert np.max(np.abs(fd - exact)) < 1e-4
+
+
+def test_profiles_are_the_closed_forms_bit_for_bit():
+    # the solver's noise rows carry these bits into every stepped CSV,
+    # so each formula keeps its operation order
+    x = make_grid(20.0, 200).nodes
+    span = 13.0
+    k = np.pi / span
+    e, s, c = np.exp(-x), np.sin(k * x), np.cos(k * x)
+    values = [x * x * np.exp(-x), x * np.exp(-x * x), np.sin(k * x) * x * np.exp(-x)]
+    second = [
+        (x * x - 4.0 * x + 2.0) * np.exp(-x),
+        (4.0 * x ** 3 - 6.0 * x) * np.exp(-x * x),
+        -k * k * s * x * e + 2.0 * k * c * (1.0 - x) * e + s * (x - 2.0) * e,
+    ]
+    for m in (1, 2, 3):
+        profiles = NoiseProfiles(m, span)
+        assert np.array_equal(profiles.values(x), np.vstack(values[:m]))
+        assert np.array_equal(profiles.second_derivatives(x), np.vstack(second[:m]))
 
 
 def test_profile_spec_validation():
-    with pytest.raises(ParameterError, match="kind"):
-        ProfileSpec("unknown-kind")
+    for span in (0.0, -20.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="span"):
+            NoiseProfiles(1, span)
 
 
 def test_noise_profiles_aggregates():
     grid = make_grid(20.0, 200)
-    profiles = NoiseProfiles((ProfileSpec("x2exp"), ProfileSpec("xexp2")))
+    profiles = NoiseProfiles(2)
     assert profiles.m == 2
     x = grid.nodes
     rss = profiles.sup_rss(x)
@@ -223,7 +243,7 @@ def test_noise_profiles_aggregates():
 
 def test_noise_field_combination():
     grid = make_grid(20.0, 200)
-    profiles = NoiseProfiles((ProfileSpec("x2exp"), ProfileSpec("xexp2")))
+    profiles = NoiseProfiles(2)
     g, g2 = profiles.values(grid.nodes), profiles.second_derivatives(grid.nodes)
     z = np.array([[-0.3, 0.0], [-1.2, 2.0]])  # two components at two times
     rows = noise_rows(g, z)

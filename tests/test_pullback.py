@@ -8,8 +8,8 @@ import pytest
 from rdslab.config import parse_config
 from rdslab.errors import ConditionViolatedError, ParameterError
 from rdslab.grid import Field, Segment, make_grid, segment_co_norm, sup_norm
-from rdslab.model import ModelParams, Nonlinearity, default_profiles
-from rdslab.noise import sample_wiener, zero_wiener
+from rdslab.model import ModelParams, Nonlinearity
+from rdslab.noise import NoiseProfiles, sample_wiener, zero_wiener
 from rdslab.pullback import (
     DerivedConstants,
     absorbing_radius,
@@ -29,11 +29,11 @@ GRID = make_grid(20.0, 200)
 
 
 def absorbing_params() -> ModelParams:
-    return ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=0.25, profiles=default_profiles(1))
+    return ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=0.25, profiles=NoiseProfiles(1))
 
 
 def fixedpoint_params() -> ModelParams:
-    return ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.5, profiles=default_profiles(1))
+    return ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.5, profiles=NoiseProfiles(1))
 
 
 # ------------------------------------------------------------ radius formula
@@ -101,12 +101,12 @@ def test_pullback_zero_noise_linear_decay():
     # so the terminal norm decays like e^{-mu (t - tau)} of the data
     params = ModelParams(
         mu=1.0, epsilon=0.0, alpha=1.0, tau=0.1,
-        nonlinearity=Nonlinearity("zero"), profiles=default_profiles(1),
+        nonlinearity=Nonlinearity("zero"), profiles=NoiseProfiles(1),
     )
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = zero_wiener(1, -60.0, 1.0, dt)
-    phi = Segment.constant(Field.from_function(GRID, lambda x: x * np.exp(-x)), params.tau, dt)
+    phi = Segment.constant(Field(GRID, GRID.nodes * np.exp(-GRID.nodes)), params.tau, dt)
     prev = None
     for t in (0.5, 1.0, 2.0):
         seg_sup = float(np.max(np.abs(pullback_conjugated(solver, phi, path, t).values)))
@@ -139,7 +139,7 @@ def test_pullback_time_must_exceed_delay():
 
 
 def test_pullback_bound_holds_on_sample_runs():
-    params = ModelParams(mu=1.0, epsilon=1.0, alpha=1.0, tau=0.1, profiles=default_profiles(2))
+    params = ModelParams(mu=1.0, epsilon=1.0, alpha=1.0, tau=0.1, profiles=NoiseProfiles(2))
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(2, -50.0, 0.0, dt, seed=4)
@@ -158,7 +158,7 @@ def test_pullback_bound_scales_the_feedback_bound_by_epsilon():
     spec = parse_config("experiment = absorbing\nseed = 1\nepsilon = 1.2\n")
     params = spec.model_params()
     assert params.epsilon == 1.2 and params.nonlinearity.bound == 1.0 and params.mu == 2.0
-    peak = Field.from_function(GRID, lambda x: 0.3 * x * np.exp(1.0 - x))
+    peak = Field(GRID, 0.3 * GRID.nodes * np.exp(1.0 - GRID.nodes))
     psi = Segment.constant(peak, params.tau, spec["dt"])
     assert sup_norm(peak) == pytest.approx(0.3, abs=1e-15)
     consts = DerivedConstants(c=0.5, r_hat=1.0)
@@ -196,7 +196,7 @@ def test_cocycle_residual_exact_when_leg_blocks_do_not_align(tau):
     # the second leg starts 37 frames in, so its delay blocks of tau/dt
     # frames sit 7 frames off the direct run's at m = 10; products taken
     # one frame at a time keep the two routes bit-identical regardless
-    params = ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=tau, profiles=default_profiles(1))
+    params = ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=tau, profiles=NoiseProfiles(1))
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(1, -40.0, 1.0, dt, seed=8)
@@ -208,7 +208,7 @@ def test_cocycle_residual_exact_when_leg_blocks_do_not_align(tau):
 def test_cocycle_residual_exact_across_windows(tau):
     # the direct run steps in windows of 64 (m = 1) or 70 (m = 10, 70)
     # steps; s = 137 and s + t = 220 steps are multiples of neither
-    params = ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=tau, profiles=default_profiles(1))
+    params = ModelParams(mu=2.0, epsilon=1.0, alpha=1.0, tau=tau, profiles=NoiseProfiles(1))
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(1, -40.0, 2.5, dt, seed=9)
@@ -274,7 +274,7 @@ def test_fixed_point_distances_equal_their_oracle():
 
 
 def test_fixed_point_estimate_gates_on_condition():
-    weak = ModelParams(mu=1.5, epsilon=1.0, alpha=1.0, tau=0.5, profiles=default_profiles(1))
+    weak = ModelParams(mu=1.5, epsilon=1.0, alpha=1.0, tau=0.5, profiles=NoiseProfiles(1))
     dt = 0.01
     solver = DelaySolver(GRID, weak, SolverConfig(dt))
     path = sample_wiener(1, -45.0, 1.0, dt, seed=11)
@@ -351,7 +351,7 @@ def test_terminal_reconstruction_equals_full_trajectory_route():
     # [-tau, 0] and add them back on the terminal frames only; the oracle
     # reads both from the whole run's rows, so they must agree bit for
     # bit, alone and in a batch.
-    params = ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.5, profiles=default_profiles(2))
+    params = ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.5, profiles=NoiseProfiles(2))
     dt, t = 0.01, 2.0
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     m = solver.delay_steps

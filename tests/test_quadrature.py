@@ -3,6 +3,7 @@ preconditions, exact zeros."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from functools import lru_cache
 from math import comb
@@ -163,6 +164,40 @@ def test_no_operator_matrix_has_a_subnormal_entry(n_cells, a, order):
     assert _subnormal_count(operator_matrix(grid.nodes, grid.nodes, a, order=order)) == 0
     semigroup = DirichletHeatSemigroup(grid, mu=1.0)
     assert _subnormal_count(semigroup.operator(a, order)) == 0
+
+
+def _property_cases(seed: int, count: int):
+    """Random (L, N, a) with dx / sigma log-uniform over [0.005, 20]: both
+    sides of dx / sigma = 2, narrow kernels included."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        length = float(rng.uniform(1.0, 40.0))
+        n_cells = int(rng.integers(3, 401))
+        sigma = length / n_cells / float(np.exp(rng.uniform(np.log(0.005), np.log(20.0))))
+        yield length, n_cells, sigma * sigma / 2.0
+
+
+# narrow kernels (dx / sigma = 1.70 and 3.00) whose largest row sum is
+# exactly 1 + 2^-52
+ONE_ULP_OVER = [(20.0, 111, 0.00562), (20.0, 200, 0.000556)]
+
+
+def test_operator_matrix_properties_over_random_grids_and_widths():
+    ratios = []
+    for length, n_cells, a in [*_property_cases(seed=20260814, count=80), *ONE_ULP_OVER]:
+        grid = make_grid(length, n_cells)
+        case = (length, n_cells, a)
+        w = operator_matrix(grid.nodes, grid.nodes, a, order="linear")
+        assert np.all(w >= 0.0), case
+        assert np.all(w[0] == 0.0), case
+        assert _subnormal_count(w) == 0, case
+        # a row sum is the truncated mass rounded: at most 1 up to one ulp
+        assert max(math.fsum(row) for row in w) <= 1.0 + 2.0 ** -52, case
+        s = operator_matrix(grid.nodes, grid.nodes, a, order="spline")
+        assert np.all(s[0] == 0.0), case
+        assert _subnormal_count(s) == 0, case
+        ratios.append(grid.dx / math.sqrt(2.0 * a))
+    assert min(ratios) < 0.05 and max(ratios) > 5.0  # both sides of the dx / sigma = 2 switch
 
 
 def test_propagator_is_flushed_after_its_killing_factor():

@@ -31,7 +31,7 @@ def test_closed_form_oracle_relative_error():
     mu = 1.0
     flow = DirichletHeatSemigroup(grid, mu)
     initial, at_time = gaussian_mode(1.0)
-    f = Field.from_function(grid, initial)
+    f = Field(grid, initial(grid.nodes))
     out = flow.operator(0.5) @ f.values
     exact = at_time(grid.nodes, 0.5, mu)
     rel = np.max(np.abs(out - exact)) / np.max(np.abs(exact))
@@ -41,7 +41,7 @@ def test_closed_form_oracle_relative_error():
 def test_closed_form_other_rates_and_times():
     grid = make_grid(20.0, 200)
     initial, at_time = gaussian_mode(0.5)
-    f = Field.from_function(grid, initial)
+    f = Field(grid, initial(grid.nodes))
     for mu in (0.5, 2.0):
         flow = DirichletHeatSemigroup(grid, mu)
         for t in (0.1, 1.0):
@@ -56,7 +56,7 @@ def test_semigroup_law():
     flow = DirichletHeatSemigroup(grid, 1.0)
     for a in (0.5, 1.0, 2.0):
         initial, _ = gaussian_mode(a)
-        f = Field.from_function(grid, initial)
+        f = Field(grid, initial(grid.nodes))
         for t, s in ((0.1, 0.4), (0.5, 0.5), (1.0, 4.0)):
             combined = flow.operator(t + s) @ f.values
             chained = flow.operator(t) @ (flow.operator(s) @ f.values)
@@ -85,7 +85,7 @@ def test_operator_norm_within_decay_factor():
 
 def test_bounds_report_structure_and_verdict():
     grid = make_grid(20.0, 200)
-    f = Field.from_function(grid, lambda x: x * np.exp(-x))
+    f = Field(grid, grid.nodes * np.exp(-grid.nodes))
     pairs = DirichletHeatSemigroup(grid, 1.0).check_bounds(f, 0.5)
     assert list(pairs) == ["sup", "dx1", "dx2", "dt1"]
     slack = max(1e-6, grid.dx ** 2)
@@ -110,7 +110,7 @@ def test_bounds_hold_across_times_and_rates():
 def test_odd_extension_agrees_with_image_pair():
     grid = make_grid(20.0, 200)
     flow = DirichletHeatSemigroup(grid, 1.0)
-    f = Field.from_function(grid, lambda x: x * np.exp(-(x ** 2) / 2.0))
+    f = Field(grid, grid.nodes * np.exp(-(grid.nodes ** 2) / 2.0))
     direct = flow.operator(0.5) @ f.values
     mirrored = flow.apply_via_odd_extension(0.5, f)
     assert sup_norm(Field(grid, direct - mirrored.values)) <= 1e-10

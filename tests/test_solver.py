@@ -12,9 +12,9 @@ from scipy.special import erf
 
 from rdslab.errors import ParameterError, WindowExhaustedError
 from rdslab.grid import Field, Segment, make_grid, sup_norm
-from rdslab.kernel import DispersalKernel, KernelParams
-from rdslab.model import ModelParams, Nonlinearity, default_profiles
-from rdslab.noise import noise_rows, ou_series, sample_wiener, zero_wiener
+from rdslab.kernel import DispersalKernel
+from rdslab.model import ModelParams, Nonlinearity
+from rdslab.noise import NoiseProfiles, noise_rows, ou_series, sample_wiener, zero_wiener
 from rdslab.pullback import advance_state
 from rdslab.semigroup import DirichletHeatSemigroup
 import rdslab.solver
@@ -40,14 +40,14 @@ def quiet_params(mu: float = 1.0, **kw) -> ModelParams:
         alpha=1.0,
         tau=0.1,
         nonlinearity=Nonlinearity("zero"),
-        profiles=default_profiles(1),
+        profiles=NoiseProfiles(1),
     )
     defaults.update(kw)
     return ModelParams(**defaults)
 
 
 def live_params(**kw) -> ModelParams:
-    defaults = dict(mu=1.0, epsilon=1.0, alpha=1.0, tau=0.1, profiles=default_profiles(1))
+    defaults = dict(mu=1.0, epsilon=1.0, alpha=1.0, tau=0.1, profiles=NoiseProfiles(1))
     defaults.update(kw)
     return ModelParams(**defaults)
 
@@ -78,7 +78,7 @@ def steps_of(traj) -> int:
 
 def test_feedback_zero_nonlinearity_gives_zero():
     params = quiet_params(epsilon=1.0)
-    f = Field.from_function(GRID, lambda x: np.sin(x))
+    f = Field(GRID, np.sin(GRID.nodes))
     z = Field.zero(GRID)
     out = evaluate_feedback(params, f, z)
     assert np.all(out.values == 0.0)
@@ -116,8 +116,8 @@ def test_feedback_lipschitz_estimate():
 
 def test_feedback_accepts_prebuilt_kernel():
     params = live_params()
-    op = DispersalKernel(KernelParams(params.alpha), GRID)
-    f = Field.from_function(GRID, lambda x: np.tanh(x))
+    op = DispersalKernel(params.alpha, GRID)
+    f = Field(GRID, np.tanh(GRID.nodes))
     z = Field.zero(GRID)
     assert np.array_equal(
         evaluate_feedback(params, f, z).values,
@@ -155,7 +155,7 @@ def test_zero_forcing_matches_semigroup_closed_form():
     path = quiet_path(params, dt, 1.0)
     a = 1.0
     psi = Segment.constant(
-        Field.from_function(GRID, lambda x: x * np.exp(-(x ** 2) / (4 * a))),
+        Field(GRID, GRID.nodes * np.exp(-(GRID.nodes ** 2) / (4 * a))),
         params.tau,
         dt,
     )
@@ -301,7 +301,7 @@ def test_all_frames_dirichlet():
 def test_a_solve_holds_one_state_stack():
     # the OU values and each delay block's noise rows are small next to the
     # (frames, 1, nodes) stack, the solve's one array of its horizon's size
-    params = live_params(profiles=default_profiles(2))
+    params = live_params(profiles=NoiseProfiles(2))
     dt, horizon = 0.01, 20.0
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
@@ -409,7 +409,7 @@ def test_picard_exact_after_enough_sweeps():
 
 
 def test_picard_trajectory_equals_steps_bit_for_bit():
-    params = live_params(mu=1.0, epsilon=2.0, tau=0.1, profiles=default_profiles(2))
+    params = live_params(mu=1.0, epsilon=2.0, tau=0.1, profiles=NoiseProfiles(2))
     dt = 0.005
     horizon = np.floor(0.9 * contraction_interval(params) / dt) * dt
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x) * (1 + xi))
@@ -423,7 +423,7 @@ def test_picard_trajectory_equals_steps_bit_for_bit():
 
 
 def test_batch_of_one_is_solve_and_batches_rerun_byte_identical():
-    params = live_params(profiles=default_profiles(2))
+    params = live_params(profiles=NoiseProfiles(2))
     dt, horizon = 0.01, 0.5
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     psis = [
@@ -488,7 +488,7 @@ def _block_psis(tau, dt):
 @_BLOCK_CASES
 @pytest.mark.parametrize("feedback", list(_FEEDBACK))
 def test_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon, feedback):
-    params = live_params(tau=tau, profiles=default_profiles(2), **_FEEDBACK[feedback])
+    params = live_params(tau=tau, profiles=NoiseProfiles(2), **_FEEDBACK[feedback])
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = live_path(params, dt, horizon, seed=21)
     psis = _block_psis(tau, dt)
@@ -526,7 +526,7 @@ def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon, mon
 def test_terminal_segments_equal_solve_batch(m, components, monkeypatch):
     # the reference is the batch's whole stack: one window over the horizon
     dt = 0.01
-    params = live_params(tau=m * dt, profiles=default_profiles(components))
+    params = live_params(tau=m * dt, profiles=NoiseProfiles(components))
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     psis = _block_psis(params.tau, dt)
     for steps in (37, 128, 157):
@@ -551,7 +551,7 @@ def test_terminal_segments_equal_solve_batch(m, components, monkeypatch):
 def test_u_v_roundtrip_and_dirichlet():
     # advance_state moves u to v with the solver's own noise rows and back:
     # u - rows on the terminal frames is the v-run from phi - rows on entry
-    params = live_params(mu=1.0, epsilon=1.0, tau=0.1, profiles=default_profiles(2))
+    params = live_params(mu=1.0, epsilon=1.0, tau=0.1, profiles=NoiseProfiles(2))
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     phi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
@@ -572,7 +572,7 @@ def test_zero_noise_conjugation_is_identity():
     params = quiet_params(epsilon=0.0)
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
-    psi = Segment.constant(Field.from_function(GRID, lambda x: x * np.exp(-x)), params.tau, dt)
+    psi = Segment.constant(Field(GRID, GRID.nodes * np.exp(-GRID.nodes)), params.tau, dt)
     path = quiet_path(params, dt, 0.3)
     u = advance_state(solver, psi, path, 0.3)
     assert np.array_equal(u.values, solver.solve(psi, path, 0.3).terminal_segment.values)
@@ -581,7 +581,7 @@ def test_zero_noise_conjugation_is_identity():
 def test_noise_series_rows_depend_only_on_their_time():
     # the u-runs read the exit rows on the shifted path: they must be the
     # whole run's rows bit for bit, also when the path is finer than dt
-    params = live_params(tau=0.1, profiles=default_profiles(2))
+    params = live_params(tau=0.1, profiles=NoiseProfiles(2))
     dt = 0.02
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = live_path(params, 0.01, 0.5, seed=8)
@@ -640,7 +640,7 @@ def test_lipschitz_in_initial_data():
 
 def test_variation_of_constants_consistency():
     # against direct fine quadrature of the mild integral over [0, tau]
-    params = live_params(mu=1.0, epsilon=1.0, tau=0.2, profiles=default_profiles(2))
+    params = live_params(mu=1.0, epsilon=1.0, tau=0.2, profiles=NoiseProfiles(2))
     dt = 0.02
     fine = 10
     dr = dt / fine
@@ -651,7 +651,7 @@ def test_variation_of_constants_consistency():
     traj = solver.solve(psi, path, params.tau)
 
     flow = DirichletHeatSemigroup(GRID, params.mu)
-    op = DispersalKernel(KernelParams(params.alpha), GRID)
+    op = DispersalKernel(params.alpha, GRID)
     t_end = params.tau
     z = ou_series(path, solver.ou_params, np.arange(0, int(round(t_end / dr))) * dr - t_end)
     z_rows = noise_rows(params.profiles.values(GRID.nodes), z)

@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from rdslab.grid import Segment, make_grid, segment_co_norm
-from rdslab.model import ModelParams, default_profiles
-from rdslab.noise import sample_wiener
+from rdslab.model import ModelParams
+from rdslab.noise import NoiseProfiles, sample_wiener
 from rdslab.solver import DelaySolver, SolverConfig, Trajectory
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,7 +125,7 @@ def test_hook_attribute_reads_are_all_checked():
 
 def test_hook_attributes_resolve_on_real_calls():
     grid = make_grid(1.0, 10)
-    params = ModelParams(mu=1.0, epsilon=0.5, alpha=1.0, tau=0.1, profiles=default_profiles(1))
+    params = ModelParams(mu=1.0, epsilon=0.5, alpha=1.0, tau=0.1, profiles=NoiseProfiles(1))
     dt, horizon = 0.05, 0.2
     path = sample_wiener(1, -41.0, horizon, dt, seed=1)
     psi = Segment.from_function(grid, params.tau, dt, lambda xi, x: x * np.exp(-x))
@@ -160,7 +160,7 @@ def test_solves_reach_noise_series_and_return_trajectories(monkeypatch):
 
     monkeypatch.setattr(DelaySolver, "noise_series", counted)
     grid = make_grid(1.0, 10)
-    params = ModelParams(mu=1.0, epsilon=0.5, alpha=1.0, tau=0.1, profiles=default_profiles(1))
+    params = ModelParams(mu=1.0, epsilon=0.5, alpha=1.0, tau=0.1, profiles=NoiseProfiles(1))
     dt, horizon = 0.05, 0.2
     path = sample_wiener(1, -41.0, horizon, dt, seed=1)
     psis = [
