@@ -36,15 +36,18 @@ The recursion runs on a (frames, B, nodes) stack in delay blocks of m
 steps (the method of steps), by two routes: :meth:`DelaySolver.solve`
 keeps every frame of one history, and :meth:`DelaySolver.terminal_segments`
 advances B histories sharing one path and horizon together and keeps
-only their terminal segments.  Steps k0 .. k0+m-1 read only frames
-k0 .. k0+m-1, all final once frame k0+m is, so their forcing is formed
-at once, each product still one BLAS call per frame: BLAS may round a
-row of one GEMM differently with the GEMM's row count and the row's
-place in it, so a GEMM over a whole block would tie the bits to the block
-alignment, which a restart shifts.  A batch of one is exactly the
-matrix-vector arithmetic above; a larger batch may round a member
-differently in the last bits, so batch composition must follow from the
-config alone, never scheduling.
+only their terminal segments.  Blocks sit on absolute multiples of m
+steps; a run's phase is the absolute index of its first step (the path
+origin in steps of dt) mod m.  A block's steps read only frames that are
+final when it starts, so its forcing is formed at once: step k takes row
+(phase + k) mod m of an (m, B, nodes) stack, zero where a run's end cuts
+the block, and f, Disp and S(dt/2) run on the stack as one product of
+exactly m B rows.  BLAS may round a row of a product differently with the
+row count and the row's place in it, but not with the other rows' values
+(a test guards this), so a frame gets the same bits wherever its run
+started.  Only S(dt) runs frame by frame, as each step needs the last
+frame.  B sets the row count and so may move a member's last bits: batch
+composition must follow from the config alone, never scheduling.
 A solve holds that stack and nothing else of its horizon's size: the OU
 values are a few numbers per frame, and a block's rows live for the
 block.  A :class:`Trajectory`'s terminal segment is a copy, so a caller
@@ -176,9 +179,9 @@ def picard_gain(params: ModelParams, horizon: float) -> float:
     return params.feedback_lipschitz / params.mu * (1.0 - math.exp(-params.mu * horizon))
 
 
-def _feedback(params: ModelParams, kernel: DispersalKernel, delayed, noise) -> np.ndarray:
-    """eps * Disp[f(delayed + noise)] along the last axis, for any batch shape."""
-    return params.epsilon * kernel.apply_values(params.nonlinearity.value(delayed + noise))
+def _feedback(params: ModelParams, kernel: DispersalKernel, arg) -> np.ndarray:
+    """eps * Disp[f(arg)] along the last axis, for any batch shape."""
+    return params.epsilon * kernel.apply_values(params.nonlinearity.value(arg))
 
 
 def evaluate_feedback(
@@ -199,7 +202,7 @@ def evaluate_feedback(
         raise ParameterError("delayed_field and delayed_noise grids differ")
     if kernel is None:
         kernel = DispersalKernel(params.alpha, delayed_field.grid)
-    feedback = _feedback(params, kernel, delayed_field.values, delayed_noise.values)
+    feedback = _feedback(params, kernel, delayed_field.values + delayed_noise.values)
     return Field(delayed_field.grid, feedback)
 
 
@@ -233,10 +236,11 @@ class DelaySolver:
 
     def _frames(
         self, psis: Sequence[Segment], path: WienerPath, horizon: float, steps: int | None = None
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int]:
         """Check a batch against the solver and the path; return its
         (frames, B, nodes) stack with the histories on the first m + 1 frames,
-        for the horizon or for at most ``steps`` steps of it."""
+        for the horizon or for at most ``steps`` steps of it, and the run's
+        phase: its absolute step index (the path origin in steps of dt) mod m."""
         m = self.delay_steps
         for psi in psis:
             if psi.grid != self.grid:
@@ -248,12 +252,12 @@ class DelaySolver:
             if psi.n_frames != m + 1:
                 raise ParameterError(f"initial segment tau = {psi.tau} differs from model tau")
             psi.require_dirichlet("initial segment")
-        lattice_steps(self.cfg.dt, path.dt_knot, "solver dt (in path steps)", minimum=1)
+        knots = lattice_steps(self.cfg.dt, path.dt_knot, "solver dt (in path steps)", minimum=1)
         n = lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
         out = np.empty((m + min(n, steps or n) + 1, len(psis), self.grid.n_cells + 1))
         for b, psi in enumerate(psis):
             out[: m + 1, b] = psi.values
-        return out
+        return out, path.origin // knots % m
 
     def noise_series(self, path: WienerPath, horizon: float) -> np.ndarray:
         """OU values z at all frame times -tau .. horizon, shape (m, frames).
@@ -276,28 +280,34 @@ class DelaySolver:
         """
         return noise_rows(self._laplacian_rows if laplacian else self._profile_rows, z)
 
-    def _sweep(self, out: np.ndarray, delayed: np.ndarray, z: np.ndarray) -> None:
+    def _sweep(self, out: np.ndarray, delayed: np.ndarray, z: np.ndarray, phase: int) -> None:
         """The one step loop: fill out[m+1:] from out[:m+1], reading delayed
         states from ``delayed`` (``out`` itself, or the previous Picard sweep)
-        and the OU values z of every frame.
+        and the OU values z of every frame; step 0 has absolute index
+        ``phase`` mod m.
 
-        Block k0 .. k1-1 (k1 <= k0 + m) starts with ``out`` complete through
-        frame k0 + m, so delayed[k0:k1] is final for either ``delayed``: the
-        block's noise rows are formed once, and f, Disp and S(dt/2) run once
-        on its stack, one BLAS call per frame and never one flattened GEMM
-        (module docstring); only S(dt) runs frame by frame.
+        Blocks sit on absolute multiples of m.  The block of steps a .. k1-1
+        starts with ``out`` complete through frame a + m, so delayed[a:k1] is
+        final for either ``delayed``: step k takes row (phase + k) mod m of an
+        (m, B, nodes) stack, zero where the block is cut, and f, Disp and
+        S(dt/2) run once on it as one (m B)-row product; only S(dt) runs
+        frame by frame.  Without feedback the members share the rows: B is 1.
         """
         m, dt, n = self.delay_steps, self.cfg.dt, out.shape[0] - self.delay_steps - 1
         full, half, p = self._step_full.T, self._step_half.T, self.params
         feedback = p.epsilon != 0.0 and p.nonlinearity.kind != "zero"
-        for k0 in range(0, n, m):
-            k1 = min(k0 + m, n)
-            force = self.field_rows(z[:, k0 + m : k1 + m], laplacian=True)[:, None]
+        shape = (m, out.shape[1] if feedback else 1, out.shape[2])
+        for k0 in range(-phase, n, m):
+            a, k1 = max(k0, 0), min(k0 + m, n)
+            rows = slice(a - k0, k1 - k0)
+            force = np.zeros(shape)
+            force[rows] = self.field_rows(z[:, a + m : k1 + m], laplacian=True)[:, None]
             if feedback:
-                z_rows = self.field_rows(z[:, k0:k1])[:, None]
-                force = _feedback(p, self.dispersal, delayed[k0:k1], z_rows) + force
-            g = dt * (force @ half)
-            for k in range(k0, k1):
+                arg = np.zeros(shape)
+                np.add(delayed[a:k1], self.field_rows(z[:, a:k1])[:, None], out=arg[rows])
+                force += _feedback(p, self.dispersal, arg.reshape(-1, shape[2])).reshape(shape)
+            g = (dt * (force.reshape(-1, shape[2]) @ half)).reshape(shape)
+            for k in range(a, k1):
                 row = out[k + m + 1]
                 np.dot(out[k + m], full, out=row)
                 row += g[k - k0]
@@ -307,8 +317,8 @@ class DelaySolver:
     def solve(self, psi: Segment, path: WienerPath, horizon: float) -> Trajectory:
         """Step history psi over the horizon by the method of steps, as a
         (frames, 1, nodes) stack; keep every frame."""
-        out = self._frames([psi], path, horizon)
-        self._sweep(out, out, self.noise_series(path, horizon))
+        out, phase = self._frames([psi], path, horizon)
+        self._sweep(out, out, self.noise_series(path, horizon), phase)
         return Trajectory(self.grid, self.params.tau, self.cfg.dt, out[:, 0])
 
     def terminal_segments(
@@ -317,18 +327,19 @@ class DelaySolver:
         """Terminal segments of histories that share one path and horizon,
         stepped as one batch in a window of m + 1 + k m frames, k =
         ceil(64 / m), whose last m + 1 frames move to the front after each
-        pass.  Windows start at multiples of m, so every delay block and
-        product is that of one whole stack of the batch."""
+        pass.  Window edges sit on absolute block boundaries (the first
+        window is short by the phase), so no edge adds a padded product."""
         m = self.delay_steps
         w = m * -(-_WINDOW_STEPS // m)
-        out = self._frames(psis, path, horizon, w)
+        out, phase = self._frames(psis, path, horizon, w)
         z = self.noise_series(path, horizon)
         n = z.shape[1] - m - 1
-        for s in range(0, n, w):
-            if s:  # every window but the last is full
-                out[: m + 1] = out[w:]
-            win = out[: m + 1 + min(w, n - s)]
-            self._sweep(win, win, z[:, s : s + win.shape[0]])
+        win = out[: m + 1]
+        for s in range(-phase, n, w):
+            a = max(s, 0)
+            out[: m + 1] = win[-m - 1 :]  # on the first pass, the histories
+            win = out[: m + 1 + min(s + w, n) - a]
+            self._sweep(win, win, z[:, a : a + win.shape[0]], (phase + a) % m)
         grid, tau, dt = self.grid, self.params.tau, self.cfg.dt
         return [Segment(grid, tau, dt, win[-m - 1 :, b].copy()) for b in range(len(psis))]
 
@@ -344,13 +355,13 @@ class DelaySolver:
         exactly zero after ceil(horizon/tau) + 1 sweeps at the latest.
         """
         m = self.delay_steps
-        cur = self._frames([psi], path, horizon)
+        cur, phase = self._frames([psi], path, horizon)
         cur[m + 1 :] = psi.values[-1]
         z = self.noise_series(path, horizon)
         changes: list[float] = []
         for _ in range(_PICARD_MAX_SWEEPS):
             new = cur.copy()
-            self._sweep(new, cur, z)
+            self._sweep(new, cur, z, phase)
             # the previous sweep is spent: its frames take the change in place,
             # and no name keeps a view of them into the next sweep
             np.subtract(new[m + 1 :], cur[m + 1 :], out=cur[m + 1 :])

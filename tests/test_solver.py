@@ -448,10 +448,14 @@ def test_batch_of_one_is_solve_and_batches_rerun_byte_identical():
 
 
 def _frame_by_frame(solver, psis, path, horizon):
-    """Oracle: the step loop without delay blocks.  Each frame forms its own
-    feedback and forcing, and a lone history steps as plain vectors."""
+    """Oracle: the step loop without delay blocks.  Step k sits at absolute
+    step phase + k, phase being the path origin in steps of dt, and forms
+    its own feedback and forcing as rows (phase + k) mod m of a zero
+    (m B)-row product, B = 1 without feedback; a lone history steps S(dt)
+    as plain vectors."""
     params, m, dt = solver.params, solver.delay_steps, solver.cfg.dt
     n = int(round(horizon / dt))
+    phase = path.origin // int(round(dt / path.dt_knot)) % m
     out = np.empty((m + n + 1, len(psis), GRID.n_cells + 1))
     for b, psi in enumerate(psis):
         out[: m + 1, b] = psi.values
@@ -461,13 +465,20 @@ def _frame_by_frame(solver, psis, path, horizon):
     full = solver.semigroup.operator(dt, order="spline").T
     half = solver.semigroup.operator(dt / 2.0, order="spline").T
     feedback = params.epsilon != 0.0 and params.nonlinearity.kind != "zero"
+    b = len(psis) if feedback else 1
     for k in range(n):
-        force = q_rows[k + m]
+        r = (phase + k) % m
+        rows = slice(r * b, (r + 1) * b)
+        force = np.zeros((m * b, GRID.n_cells + 1))
+        force[rows] = q_rows[k + m]
         if feedback:
-            f = params.nonlinearity.value(states[k] + z_rows[k])
-            force = params.epsilon * (f @ solver.dispersal.matrix.T) + force
+            arg = np.zeros_like(force)
+            arg[rows] = out[k] + z_rows[k]
+            f = params.nonlinearity.value(arg)
+            force[rows] += params.epsilon * (f @ solver.dispersal.matrix.T)[rows]
+        g = dt * (force @ half)[rows]
         np.matmul(states[k + m], full, out=states[k + m + 1])
-        states[k + m + 1] += dt * (force @ half)
+        states[k + m + 1] += g if len(psis) > 1 else g[0]
     return out
 
 
@@ -490,18 +501,20 @@ def _block_psis(tau, dt):
 def test_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon, feedback):
     params = live_params(tau=tau, profiles=NoiseProfiles(2), **_FEEDBACK[feedback])
     solver = DelaySolver(GRID, params, SolverConfig(dt))
-    path = live_path(params, dt, horizon, seed=21)
     psis = _block_psis(tau, dt)
     m = solver.delay_steps
-    # a batch's one output is its terminal segments
-    for b in (1, 2, 5):
-        ref = _frame_by_frame(solver, psis[:b], path, horizon)
-        segs = solver.terminal_segments(psis[:b], path, horizon)
-        assert len(segs) == b
-        for j, seg in enumerate(segs):
-            assert np.array_equal(seg.values, ref[-(m + 1) :, j])
-    ref = _frame_by_frame(solver, psis[:1], path, horizon)[:, 0]
-    assert np.array_equal(solver.solve(psis[0], path, horizon).values, ref)
+    # the path starts on a block boundary; its shift by -3 steps does not
+    base = live_path(params, dt, horizon, seed=21)
+    for path in (base, base.shift(-3 * dt)):
+        # a batch's one output is its terminal segments
+        for b in (1, 2, 5):
+            ref = _frame_by_frame(solver, psis[:b], path, horizon)
+            segs = solver.terminal_segments(psis[:b], path, horizon)
+            assert len(segs) == b
+            for j, seg in enumerate(segs):
+                assert np.array_equal(seg.values, ref[-(m + 1) :, j])
+        ref = _frame_by_frame(solver, psis[:1], path, horizon)[:, 0]
+        assert np.array_equal(solver.solve(psis[0], path, horizon).values, ref)
 
 
 @_BLOCK_CASES
@@ -511,11 +524,12 @@ def test_picard_delay_blocks_reproduce_frame_by_frame_loop(tau, dt, horizon, mon
     monkeypatch.setattr(rdslab.solver, "PICARD_TOL", 1e-300)
     params = live_params(tau=tau)
     picard = DelaySolver(GRID, params, SolverConfig(dt, mode="picard"))
-    path = live_path(params, dt, horizon, seed=22)
+    base = live_path(params, dt, horizon, seed=22)
     psi = _block_psis(tau, dt)[0]
-    traj, report = picard.picard_solve(psi, path, horizon)
-    assert report.changes[-1] == 0.0
-    assert np.array_equal(traj.values, _frame_by_frame(picard, [psi], path, horizon)[:, 0])
+    for path in (base, base.shift(-3 * dt)):
+        traj, report = picard.picard_solve(psi, path, horizon)
+        assert report.changes[-1] == 0.0
+        assert np.array_equal(traj.values, _frame_by_frame(picard, [psi], path, horizon)[:, 0])
 
 
 # steps 37 end inside the first window; 128 ends a window at m = 1 and 2
@@ -543,6 +557,57 @@ def test_terminal_segments_equal_solve_batch(m, components, monkeypatch):
                 assert np.array_equal(seg.values, stack.values)
         one = solver.terminal_segments(psis[:1], path, horizon)[0]
         assert np.array_equal(one.values, solver.solve(psis[0], path, horizon).terminal_segment.values)
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_restart_at_every_phase_continues_the_run_bit_for_bit(b, monkeypatch):
+    # m = 10: a restart after s = 1 .. 10 steps starts its leg at every phase
+    # of the block lattice, and the direct run's 157 steps cross two window
+    # edges, which sit on block boundaries and so add no product of their own
+    dt, n = 0.01, 157
+    params = live_params(tau=10 * dt, profiles=NoiseProfiles(2))
+    solver = DelaySolver(GRID, params, SolverConfig(dt))
+    psis = _block_psis(params.tau, dt)[:b]
+    base = live_path(params, dt / 2, n * dt, seed=40)
+    products = []
+    apply = DispersalKernel.apply_values
+
+    def record(kernel, values):
+        products.append(values.shape)
+        return apply(kernel, values)
+
+    monkeypatch.setattr(DispersalKernel, "apply_values", record)
+    for path in (base, base.shift(-7 * dt)):
+        products.clear()
+        direct = solver.terminal_segments(psis, path, n * dt)
+        phase = path.origin // 2 % 10
+        assert products == [(10 * b, GRID.n_cells + 1)] * -(-(phase + n) // 10)
+        for s in range(1, 11):
+            first = solver.terminal_segments(psis, path, s * dt)
+            second = solver.terminal_segments(first, path.shift(s * dt), (n - s) * dt)
+            for seg, ref in zip(second, direct):
+                assert np.array_equal(seg.values, ref.values)
+            if b == 1:
+                leg = solver.solve(psis[0], path, s * dt).terminal_segment
+                leg = solver.solve(leg, path.shift(s * dt), (n - s) * dt).terminal_segment
+                assert np.array_equal(leg.values, direct[0].values)
+
+
+def test_gemm_row_bits_do_not_depend_on_the_other_rows():
+    # The restart exactness above rests on this property of the BLAS: a row
+    # of an M-row product depends on M and on the row's place, never on the
+    # other rows' values or on where the buffers sit in memory.
+    half = DirichletHeatSemigroup(GRID, 1.0).operator(0.005, order="spline")
+    rng = np.random.default_rng(5)
+    for mat in (half.T, DispersalKernel(1.0, GRID).matrix.T):
+        for rows in (1, 2, 5, 10, 20, 50, 70):
+            x = rng.standard_normal((rows, GRID.n_cells + 1))
+            ref = x @ mat
+            for r in {0, rows // 2, rows - 1}:
+                y = np.empty(x.size + 1)[1:].reshape(x.shape)  # off by one double
+                y[:] = rng.standard_normal(x.shape)
+                y[r] = x[r]
+                assert np.array_equal((y @ mat)[r], ref[r]), (rows, r)
 
 
 # ------------------------------------------------------------- conjugation
