@@ -47,8 +47,10 @@ def _str(text: str) -> str:
     return text
 
 
+_SEED = {"seed": (_int, _REQUIRED)}
+# Keys of the experiments that build a grid; the noise-only ones take no L or N.
 _COMMON = {
-    "seed": (_int, _REQUIRED),
+    **_SEED,
     "L": (_float, 20.0),
     "N": (_int, 200),
 }
@@ -69,9 +71,9 @@ _DYNAMICS = {
 EXPERIMENTS: dict[str, dict] = {
     "kernel-bound": {**_COMMON, "alpha": (_float, 1.0), "trials": (_int, 100)},
     "semigroup-bounds": {**_COMMON, "mu": (_float, 1.0), "fields": (_int, 20)},
-    "ou-stats": {**_COMMON, "mu": (_float, 1.0), "dt_path": (_float, 0.02), "paths": (_int, 10000)},
+    "ou-stats": {**_SEED, "mu": (_float, 1.0), "dt_path": (_float, 0.02), "paths": (_int, 10000)},
     "temperedness": {
-        **_COMMON,
+        **_SEED,
         "mu": (_float, 1.0),
         "beta": (_float, 0.1),
         "horizon": (_float, 200.0),
@@ -142,15 +144,12 @@ class ExperimentSpec:
         )
 
 
-def _validate_conditions(spec: ExperimentSpec) -> None:
-    """Experiment-specific structural requirements, checked pre-compute."""
+def _validate_conditions(spec: ExperimentSpec, params: ModelParams | None) -> None:
+    """Experiment-specific structural requirements, checked pre-compute;
+    ``params`` is the spec's model, None for an experiment without one."""
     name = spec.experiment
     if name == "fixed-point":
-        if spec["tau"] >= 1.0:
-            raise ConditionViolatedError(
-                f"fixed-point needs a delay below one time unit: tau = {spec['tau']} >= 1"
-            )
-        params = spec.model_params()
+        # the contraction condition asks for tau < 1 and names tau
         if not params.contraction_condition:
             raise ConditionViolatedError(
                 "fixed-point contraction gate failed: " + params.describe_conditions()
@@ -158,13 +157,11 @@ def _validate_conditions(spec: ExperimentSpec) -> None:
         # pullback depths 1, 2, ..., horizon: fixed_point_estimate's check at step 1
         lattice_steps(spec["horizon"], 1.0, "horizon", minimum=3)
     elif name == "absorbing":
-        params = spec.model_params()
         if not params.absorbing_condition:
             raise ConditionViolatedError(
                 "absorbing-ball condition failed: " + params.describe_conditions()
             )
     elif name == "picard-contraction":
-        params = spec.model_params()
         horizon = contraction_interval(params)
         if horizon is None:
             raise ConditionViolatedError(
@@ -237,9 +234,9 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
 
     spec = ExperimentSpec(name, values)
     _validate_ranges(values)
-    if "nonlinearity" in values or "tau" in values:
-        spec.model_params()  # full object-level validation, errors name fields
-    _validate_conditions(spec)
+    # full object-level validation, errors name fields
+    params = spec.model_params() if "tau" in values else None
+    _validate_conditions(spec, params)
     return spec
 
 

@@ -76,10 +76,9 @@ at L = 20, N = 800 the relative error against a 40-digit assembly is
 6e-14 / 3e-12 / 2e-11 (linear) and 4e-11 / 5e-8 / 1.4e-6 (spline) at
 a = 0.04 / 1 / 5.
 
-Special functions.  ``erf`` and the normal CDF port cephes' erf, erfc and
-ndtr to numpy with scipy.special's coefficients, operation order, branch
-points and libm exp; the spline solve repeats LAPACK dgtsv.  Each matches
-scipy bit for bit (the tests check), and the package does not import it.
+Special functions.  ``erf`` and the normal CDF evaluate libm's erf and
+erfc element by element; the spline solve repeats LAPACK dgtsv bit for
+bit (the tests check against scipy, which the package does not import).
 """
 
 from __future__ import annotations
@@ -100,82 +99,25 @@ _TINY = np.finfo(float).tiny
 # Rows per in-place update: 64 rows of an N = 800 matrix are 0.4 MB, so a
 # block's temporaries stay a small fraction of the matrix.
 _ROW_BLOCK = 64
-
-# Cephes erf/erfc, as scipy.special evaluates them: highest degree first;
-# Q, S and U have an implicit leading 1.
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-      1.65666309194161350182e3, 5.57535340817727675546e2)
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-      7.00332514112805075473e3, 5.55923013010394962768e4)
-_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-      2.26290000613890934246e4, 4.92673942608635921086e4)
-_MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = math.sqrt(0.5)
-# (numerator, denominator) rows for _polyval.  A leading zero pads the
-# shorter polynomial and a leading one is p1evl's implicit one, operation
-# for operation: erf on [0, 1] is x T(x^2) / U(x^2); erfc is
-# exp(-x^2) P(x) / Q(x) on [1, 8) and exp(-x^2) R(x) / S(x) beyond.
-_TU = np.array([(0.0, *_T), (1.0, *_U)])[:, None]
-_PQ = np.array([_P, (1.0, *_Q)])[:, None]
-_RS = np.array([(0.0, *_R), (1.0, *_S)])[:, None]
-
-def _polyval(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Horner's rule over the last axis of ``coef``, as cephes polevl does it."""
-    y = coef[..., 0]
-    for k in range(1, coef.shape[-1]):
-        y = y * x + coef[..., k]
-    return y
 
 
-def _erf_small(x: np.ndarray) -> np.ndarray:
-    """erf for |x| <= 1."""
-    num, den = _polyval(x * x, _TU)
-    return x * num / den
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """erfc for x >= 0: 1 - erf below 1, then the P/Q and R/S fits, 0 once
-    exp(-x^2) underflows."""
-    y = np.zeros_like(x)
-    small = x < 1.0
-    y[small] = 1.0 - _erf_small(x[small])
-    live = ~small & ~(x * x > _MAXLOG)
-    t = x[live]
-    # libm's exp, as cephes calls it: numpy's SIMD exp differs in the last bit
-    e = np.fromiter(map(math.exp, (-t * t).tolist()), float, t.size)
-    num, den = np.where(t < 8.0, _polyval(t, _PQ), _polyval(t, _RS))
-    y[live] = e * num / den
-    return y
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` (libm) applied element by element."""
+    return np.fromiter(map(f, x.reshape(-1).tolist()), float, x.size).reshape(x.shape)
 
 
 def erf(x) -> np.ndarray:
-    """The error function, bit for bit as ``scipy.special.erf`` (cephes)."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x).reshape(-1)
-    big = ax > 1.0
-    y = np.where(big, 1.0 - _erfc(np.where(big, ax, np.inf)), _erf_small(np.where(big, 0.0, ax)))
-    return np.copysign(y.reshape(x.shape), x)
+    """The error function, from libm."""
+    return _libm(math.erf, np.asarray(x, dtype=float))
 
 
 def _ndtr_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The standard normal CDF at z and at -z, bit for bit as
-    ``scipy.special.ndtr`` (cephes), from one erf or erfc per point."""
+    """The standard normal CDF at z and at -z, as 0.5 erfc(-+z / sqrt 2):
+    each keeps its tail's relative accuracy, and negating z swaps the pair
+    bit for bit."""
     x = z * _SQRT1_2
-    ax = np.abs(x)
-    near = ax < _SQRT1_2
-    h = 0.5 * _erf_small(np.where(near, x, 0.0))
-    tail = 0.5 * _erfc(np.where(near, np.inf, ax))
-    lower = np.where(near, 0.5 + h, np.where(x > 0, 1.0 - tail, tail))
-    upper = np.where(near, 0.5 - h, np.where(x > 0, tail, 1.0 - tail))
-    return lower, upper
+    return 0.5 * _libm(math.erfc, -x), 0.5 * _libm(math.erfc, x)
 
 
 def flush_subnormal(w: np.ndarray) -> np.ndarray:

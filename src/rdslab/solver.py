@@ -369,7 +369,7 @@ class DelaySolver:
             cur = new
             if changes[-1] <= PICARD_TOL:
                 break
-        ratios = tuple(b / a for a, b in zip(changes, changes[1:]) if a > 0.0)
+        ratios = tuple(b / a for a, b in zip(changes, changes[1:]))
         report = PicardReport(len(changes), tuple(changes), ratios)
         return Trajectory(self.grid, self.params.tau, self.cfg.dt, cur[:, 0]), report
 

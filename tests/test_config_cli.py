@@ -48,6 +48,14 @@ def test_unknown_key_is_named():
         parse_config("experiment = kernel-bound\nseed = 1\nfrobnicate = 3\n")
 
 
+@pytest.mark.parametrize("name", ["ou-stats", "temperedness"])
+@pytest.mark.parametrize("key", ["L", "N"])
+def test_noise_only_experiments_take_no_grid_keys(name, key):
+    assert key not in EXPERIMENTS[name]
+    with pytest.raises(ParameterError, match=f"unknown key '{key}' for experiment '{name}'"):
+        parse_config(f"experiment = {name}\nseed = 1\n{key} = 7\n")
+
+
 def test_missing_required_key_is_named():
     with pytest.raises(ParameterError, match="seed"):
         parse_config("experiment = kernel-bound\n")

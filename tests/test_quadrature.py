@@ -281,19 +281,48 @@ def _special_grid() -> np.ndarray:
     return np.concatenate([x, -x])
 
 
-def test_erf_is_scipy_bit_for_bit():
+# Each oracle bounds the gap to scipy.special (cephes) by the sum of the two
+# sides' errors against the exact value, relative, with an ulp taken as
+# 2^-52 of the value:
+# - libm states erf within 1 ulp and erfc within 5 (glibc, x86_64);
+# - cephes states erf within 3.7e-16 on |x| <= 1 and erfc within 5.7e-14 on
+#   [0, 26.6] (peak relative, its ndtr.c); beyond |x| = 1 its erf is
+#   1 - erfc(|x|), erfc's error scaled by erfc / erf plus one rounding, and
+#   its ndtr, within erfc's larger bound, rounds once more (0.5 + 0.5 erf or
+#   1 - 0.5 erfc);
+# - ndtr evaluates erfc at x = z sqrt(1/2) rounded to double, two roundings
+#   on each side, and erfc's relative condition number, below 2x^2 + 1 =
+#   z^2 + 1, turns them into (z^2 + 1) 2^-52.
+# A result below the smallest normal double has no relative accuracy
+# (cephes returns 0 once x^2 exceeds MAXLOG), so only normal ones are compared.
+_ULP = 2.0 ** -52
+_CEPHES_ERF, _CEPHES_ERFC = 3.7e-16, 5.7e-14
+
+
+def _assert_within(got, ref, rel):
+    scale = np.maximum(np.abs(got), np.abs(ref))
+    normal = scale >= np.finfo(float).tiny
+    assert np.all(np.abs(got - ref)[normal] <= (rel * scale)[normal])
+
+
+def test_erf_is_within_the_stated_errors_of_libm_and_cephes():
     special = pytest.importorskip("scipy.special")
     x = _special_grid()
-    assert np.array_equal(_bits(erf(x)), _bits(special.erf(x)))
+    ref = special.erf(x)
+    cephes = np.full(x.shape, _CEPHES_ERF)
+    big = np.abs(x) > 1.0
+    cephes[big] = _CEPHES_ERFC * (1.0 - np.abs(ref[big])) / np.abs(ref[big]) + _ULP
+    _assert_within(erf(x), ref, _ULP + cephes)
     assert _bits(erf(-0.0)) == _bits(-0.0)
 
 
-def test_ndtr_pair_is_scipy_bit_for_bit():
+def test_ndtr_pair_is_within_the_stated_errors_of_libm_and_cephes():
     special = pytest.importorskip("scipy.special")
     z = _special_grid()
+    rel = 2.0 * (z * z + 1.0) * _ULP + 5.0 * _ULP + _CEPHES_ERFC + _ULP
     lower, upper = _ndtr_pair(z)
-    assert np.array_equal(_bits(lower), _bits(special.ndtr(z)))
-    assert np.array_equal(_bits(upper), _bits(special.ndtr(-z)))
+    _assert_within(lower, special.ndtr(z), rel)
+    _assert_within(upper, special.ndtr(-z), rel)
 
 
 @pytest.mark.parametrize("n", [1, 2, 199, 799])
