@@ -43,10 +43,6 @@ def _float(text: str) -> float:
     return v
 
 
-def _str(text: str) -> str:
-    return text
-
-
 _SEED = {"seed": (_int, _REQUIRED)}
 # Keys of the experiments that build a grid; the noise-only ones take no L or N.
 _COMMON = {
@@ -62,7 +58,6 @@ _DYNAMICS = {
     "bound": (_float, 1.0),
     "alpha": (_float, 1.0),
     "tau": (_float, 0.1),
-    "nonlinearity": (_str, "scaled_tanh"),
     "m": (_int, 1),
     "dt": (_float, 0.01),
 }
@@ -139,7 +134,7 @@ class ExperimentSpec:
             epsilon=v["epsilon"],
             alpha=v["alpha"],
             tau=v["tau"],
-            nonlinearity=Nonlinearity(v["nonlinearity"], v["lipschitz"], v["bound"]),
+            nonlinearity=Nonlinearity(v["lipschitz"], v["bound"]),
             profiles=NoiseProfiles(v["m"], v["L"]),
         )
 

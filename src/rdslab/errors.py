@@ -9,6 +9,8 @@ callers (and the CLI) can map them to distinct exit behaviour.
 
 from __future__ import annotations
 
+from numbers import Real
+
 
 class RdsLabError(Exception):
     """Base class for all package-specific errors."""
@@ -31,3 +33,10 @@ class ConditionViolatedError(RdsLabError, RuntimeError):
     The message states the condition so the caller can see which
     inequality failed.
     """
+
+
+def require_real(name: str, value):
+    """``value``, or ParameterError naming ``name`` if it is not a real number."""
+    if not isinstance(value, Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return value

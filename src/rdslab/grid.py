@@ -49,34 +49,26 @@ def lattice_steps(span, step: float, what: str, minimum: int | None = 0):
     turned into steps here.  A value is on the lattice when span / step
     lies within 1e-9 of an integer, measured in steps; ParameterError,
     naming ``what`` and the first bad value, reports a value that is off
-    the lattice or below ``minimum`` steps (``None``: no lower bound).
+    the lattice (an infinite or NaN one included) or below ``minimum``
+    steps (``None``: no lower bound).
 
-    The tolerance is absolute in steps.  It is never looser than the
-    relative, absolute and time-unit forms it replaced, and on an array
-    it is one comparison on the distances already computed, with no
-    per-value scaling pass over the data.
+    The tolerance is absolute in steps, one comparison on the distances
+    already computed.  A scalar takes the same array computation as an
+    array and comes back as an int.
     """
     if not (math.isfinite(step) and step > 0):
         raise ParameterError(f"{what}: lattice step must be positive and finite, got {step!r}")
-    if np.ndim(span) == 0:
-        value = float(span)
-        k = value / step
-        n = round(k) if math.isfinite(k) else 0
-        if not abs(k - n) <= _LATTICE_TOL:
-            raise ParameterError(f"{what} {value} is off the lattice of step {step}")
-        if minimum is not None and n < minimum:
-            raise ParameterError(f"{what} {value} is below {minimum} steps of {step}")
-        return n
     x = np.asarray(span, dtype=float)
-    k = x / step
-    n = np.rint(k)
-    ok = np.abs(k - n) <= _LATTICE_TOL
-    if minimum is not None:
-        ok &= n >= minimum
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        k = x / step
+        n = np.rint(k)
+        on = np.abs(k - n) <= _LATTICE_TOL
+    ok = on if minimum is None else on & (n >= minimum)
     if not ok.all():
         i = int(np.argmin(ok))
-        lattice_steps(x.flat[i], step, what, minimum)  # raises, naming the value
-    return n.astype(np.int64)
+        why = f"is below {minimum} steps of" if on.flat[i] else "is off the lattice of step"
+        raise ParameterError(f"{what} {float(x.flat[i])} {why} {step}")
+    return int(n) if n.ndim == 0 else n.astype(np.int64)
 
 
 @dataclass(frozen=True)

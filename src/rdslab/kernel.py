@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_real
 from .grid import Grid
 from .quadrature import erf, operator_matrix
 
@@ -47,7 +47,7 @@ class DispersalKernel:
     """Precomputed dense matrix of the dispersal operator on a grid."""
 
     def __init__(self, alpha: float, grid: Grid):
-        if not (np.isfinite(alpha) and alpha > 0):
+        if not (np.isfinite(require_real("alpha", alpha)) and alpha > 0):
             raise ParameterError(f"alpha must be positive and finite, got {alpha!r}")
         self.grid = grid
         self.matrix = operator_matrix(grid.nodes, grid.nodes, alpha, kind="image_pair", order="linear")

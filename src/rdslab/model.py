@@ -5,7 +5,7 @@ nonlocal birth term and additive noise:
 
     du/dt = u_xx - mu u + eps * (dispersal of f(u(t - tau, .))) + noise.
 
-The nonlinearity f is odd-symmetric around 0 with f(0) = 0, globally
+The nonlinearity f(s) = bound * tanh(lipschitz * s / bound) is odd, globally
 Lipschitz with constant ``lipschitz`` and globally bounded by ``bound``.
 
 Two parameter regimes recur downstream and are exposed as flags:
@@ -27,60 +27,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditionViolatedError, ParameterError
+from .errors import ConditionViolatedError, ParameterError, require_real
 from .noise import NoiseProfiles
 
 __all__ = ["Nonlinearity", "ModelParams"]
 
-_NONLINEARITY_KINDS = ("zero", "scaled_tanh", "scaled_atan")
-
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Birth-rate nonlinearity: odd, bounded, globally Lipschitz.
+    """Birth-rate nonlinearity f(s) = bound * tanh(lipschitz * s / bound).
 
-    Kinds
-    -----
-    zero
-        f = 0; lipschitz and bound are forced to 0.
-    scaled_tanh
-        f(s) = bound * tanh(lipschitz * s / bound).
-    scaled_atan
-        f(s) = (2 bound / pi) * atan(pi * lipschitz * s / (2 bound)),
-        a slower-saturating variant with the same slope at 0.
-
-    Both saturating kinds have |f(s)| <= min(bound, lipschitz * |s|) and
-    exact Lipschitz constant ``lipschitz`` (the supremum slope, at 0).
+    It is odd, |f(s)| <= min(bound, lipschitz * |s|), and its exact
+    Lipschitz constant is ``lipschitz`` (the supremum slope, at 0).  The
+    feedback is switched off by epsilon = 0, not by f.
     """
 
-    kind: str
     lipschitz: float = 1.0
     bound: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _NONLINEARITY_KINDS:
-            raise ParameterError(
-                f"unknown nonlinearity kind {self.kind!r}; choose from {_NONLINEARITY_KINDS}"
-            )
-        if self.kind == "zero":
-            object.__setattr__(self, "lipschitz", 0.0)
-            object.__setattr__(self, "bound", 0.0)
-            return
-        if not (np.isfinite(self.lipschitz) and self.lipschitz > 0):
-            raise ParameterError(f"lipschitz must be positive, got {self.lipschitz!r}")
-        if not (np.isfinite(self.bound) and self.bound > 0):
-            raise ParameterError(f"bound must be positive, got {self.bound!r}")
+        for name in ("lipschitz", "bound"):
+            v = require_real(name, getattr(self, name))
+            if not (np.isfinite(v) and v > 0):
+                raise ParameterError(f"{name} must be positive, got {v!r}")
 
     def value(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(s)
-        elif self.kind == "scaled_tanh":
-            out = self.bound * np.tanh(self.lipschitz * s / self.bound)
-        else:
-            h = 2.0 * self.bound / np.pi
-            out = h * np.arctan(self.lipschitz * s / h)
-        return out if out.shape else float(out)
+        return self.bound * np.tanh(self.lipschitz * np.asarray(s, dtype=float) / self.bound)
 
 
 @dataclass(frozen=True)
@@ -106,16 +78,17 @@ class ModelParams:
     epsilon: float
     alpha: float
     tau: float
-    nonlinearity: Nonlinearity = field(default_factory=lambda: Nonlinearity("scaled_tanh"))
+    nonlinearity: Nonlinearity = field(default_factory=Nonlinearity)
     profiles: NoiseProfiles = field(default_factory=NoiseProfiles)
 
     def __post_init__(self) -> None:
         for name in ("mu", "alpha", "tau"):
-            v = getattr(self, name)
+            v = require_real(name, getattr(self, name))
             if not (np.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be positive and finite, got {v!r}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ParameterError(f"epsilon must be nonnegative and finite, got {self.epsilon!r}")
+        eps = require_real("epsilon", self.epsilon)
+        if not (np.isfinite(eps) and eps >= 0):
+            raise ParameterError(f"epsilon must be nonnegative and finite, got {eps!r}")
 
     @property
     def m(self) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, WindowExhaustedError
+from .errors import ParameterError, WindowExhaustedError, require_real
 from .grid import lattice_steps
 
 __all__ = [
@@ -305,7 +305,7 @@ class NoiseProfiles:
     def __post_init__(self) -> None:
         if not (isinstance(self.m, (int, np.integer)) and 1 <= self.m <= 3):
             raise ParameterError(f"m must be in 1..3, got {self.m!r}")
-        if not (np.isfinite(self.span) and self.span > 0):
+        if not (np.isfinite(require_real("profile span", self.span)) and self.span > 0):
             raise ParameterError(f"profile span must be positive, got {self.span!r}")
 
     def values(self, x: np.ndarray) -> np.ndarray:

@@ -229,24 +229,27 @@ def _co_distance(a: Segment, b: Segment) -> float:
 
 def cocycle_residual(
     solver: DelaySolver, psi: Segment, path: WienerPath, t: float, s: float
-) -> float:
-    """Segment co-norm of Φ(t+s, w, psi) minus Φ(t, shift(s) w, Φ(s, w, psi)).
+) -> tuple[float, float]:
+    """Segment co-norm of Φ(t+s, w, psi) minus Φ(t, shift(s) w, Φ(s, w, psi)),
+    and the sup norm of the direct run's terminal frame.
 
-    t = 0 or s = 0 reduce to the identity property and return 0 without
-    integrating.  For positive lattice t, s the two sides execute the
-    identical step arithmetic on the same lattice, so the residual is
-    zero to the last bit; the return value is the measured difference,
-    not an assumed one.  The direct side steps in windows, the legs in
-    whole stacks, so the residual also pins the window to the stack.
+    t = 0 or s = 0 reduce to the identity property: residual 0, and only
+    the direct run is integrated.  For positive lattice t, s the two sides
+    execute the identical step arithmetic on the same lattice, so the
+    residual is zero to the last bit; the return value is the measured
+    difference, not an assumed one.  The direct side steps in windows, the
+    legs in whole stacks, so the residual also pins the window to the
+    stack.  The sup norm tells apart runs the zero residual cannot.
     """
     for name, val in (("t", t), ("s", s)):
         lattice_steps(val, solver.cfg.dt, name)
+    direct = solver.terminal_segments([psi], path, s + t)[0] if s + t > 0.0 else psi
+    direct_sup = sup_norm(direct.frame(direct.n_frames - 1))
     if t == 0.0 or s == 0.0:
-        return 0.0
-    direct = solver.terminal_segments([psi], path, s + t)[0]
+        return 0.0, direct_sup
     first = solver.solve(psi, path, s).terminal_segment
     second = solver.solve(first, path.shift(s), t).terminal_segment
-    return _co_distance(direct, second)
+    return _co_distance(direct, second), direct_sup
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ A^{-1} R f (A the tridiagonal spline system, R the second difference);
 their weights G enter as (A^{-1} G^T)^T R, one banded solve with the
 output rows as right-hand sides, so no step costs more than O(N^2).
 Both terms' cells go through one moment evaluation, and the normal CDF
-is evaluated once per distinct |edge|.  The image term is subtracted,
+pair is evaluated once per edge.  The image term is subtracted,
 the spline update added and the flush below applied a row block at a
 time, so an assembly holds at most two matrices and a block.
 
@@ -114,8 +114,7 @@ def erf(x) -> np.ndarray:
 
 def _ndtr_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The standard normal CDF at z and at -z, as 0.5 erfc(-+z / sqrt 2):
-    each keeps its tail's relative accuracy, and negating z swaps the pair
-    bit for bit."""
+    each keeps its tail's relative accuracy."""
     x = z * _SQRT1_2
     return 0.5 * _libm(math.erfc, -x), 0.5 * _libm(math.erfc, x)
 
@@ -147,11 +146,7 @@ def _interval_moments(sigma: float, edges: np.ndarray) -> list[np.ndarray]:
     # the mass from the tail the interval lies in, so a far interval keeps
     # its relative accuracy instead of the 1e-16 left over from 1 - 1
     z = edges / sigma
-    # ndtr(-z) is ndtr(z) with the pair swapped, bit for bit, so each
-    # distinct |z| is evaluated once
-    mag, where = np.unique(np.abs(z), return_inverse=True)
-    lower, upper = (c[where] for c in _ndtr_pair(mag))
-    lower, upper = np.where(z < 0, upper, lower), np.where(z < 0, lower, upper)
+    lower, upper = _ndtr_pair(z)
     i0 = np.where(z[:-1] + z[1:] > 0, upper[:-1] - upper[1:], lower[1:] - lower[:-1])
     i1 = s2 * (pa - pb)
     i2 = s2 * i0 + s2 * (a * pa - b * pb)

@@ -295,7 +295,7 @@ class DelaySolver:
         """
         m, dt, n = self.delay_steps, self.cfg.dt, out.shape[0] - self.delay_steps - 1
         full, half, p = self._step_full.T, self._step_half.T, self.params
-        feedback = p.epsilon != 0.0 and p.nonlinearity.kind != "zero"
+        feedback = p.epsilon != 0.0
         shape = (m, out.shape[1] if feedback else 1, out.shape[2])
         for k0 in range(-phase, n, m):
             a, k1 = max(k0, 0), min(k0 + m, n)

@@ -160,6 +160,16 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["picard-contraction", "cocycle", "absorbing", "fixed-point",
+                                  "convergence-study"])
+def test_nonlinearity_is_not_a_key(tmp_path, capsys, name):
+    # f is always bound * tanh(lipschitz * s / bound); the feedback is off at epsilon = 0
+    assert "nonlinearity" not in EXPERIMENTS[name]
+    cfg = _write(tmp_path, "a.cfg", f"experiment = {name}\nseed = 7\nnonlinearity = scaled_tanh\n")
+    assert main(["validate", "--config", cfg]) == 2
+    assert "unknown key 'nonlinearity'" in capsys.readouterr().err
+
+
 def test_cli_validate_condition_violation(tmp_path, capsys):
     cfg = _write(tmp_path, "a.cfg", "experiment = fixed-point\nseed = 1\ntau = 1.5\ndt = 0.1\n")
     assert main(["validate", "--config", cfg]) == 2

@@ -56,8 +56,11 @@ def test_lattice_steps_accepts_values_on_the_lattice(span, step, minimum, want):
         (np.array([0.0, 0.1, (3 + 1e-8) * 0.1, 0.45]), 0.1, 0, f"t_lo {(3 + 1e-8) * 0.1} is off"),
         (np.array([0.0, 0.05, -1.0]), 0.1, 0, "t_lo 0.05 is off"),  # the first bad value
         (np.array([0.0, -1.0, 0.05]), 0.1, 0, "t_lo -1.0 is below 0 steps"),
+        (np.array([0.0, np.inf]), 0.1, 0, "t_lo inf is off"),  # inf - inf raises no warning
+        (np.array([0.1, np.nan, -1.0]), 0.1, 0, "t_lo nan is off"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_lattice_steps_rejects_and_names_the_first_bad_value(span, step, minimum, fragment):
     with pytest.raises(ParameterError) as info:
         lattice_steps(span, step, "t_lo", minimum=minimum)

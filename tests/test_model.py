@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from rdslab.errors import ConditionViolatedError, ParameterError
+from rdslab.grid import make_grid
+from rdslab.kernel import DispersalKernel
 from rdslab.model import ModelParams, Nonlinearity
 from rdslab.noise import NoiseProfiles
 
 
 def test_scaled_tanh_respects_bound_and_lipschitz():
-    f = Nonlinearity("scaled_tanh", lipschitz=1.5, bound=2.0)
+    f = Nonlinearity(lipschitz=1.5, bound=2.0)
     s = np.linspace(-50.0, 50.0, 2001)
     vals = f.value(s)
     assert np.max(np.abs(vals)) <= 2.0
@@ -23,29 +25,23 @@ def test_scaled_tanh_respects_bound_and_lipschitz():
     assert (f.value(h) - f.value(-h)) / (2 * h) == pytest.approx(1.5, rel=1e-5)
 
 
-def test_scaled_atan_respects_bound_and_lipschitz():
-    f = Nonlinearity("scaled_atan", lipschitz=0.7, bound=1.2)
-    s = np.linspace(-200.0, 200.0, 4001)
-    vals = f.value(s)
-    assert np.max(np.abs(vals)) <= 1.2
-    slopes = np.diff(vals) / np.diff(s)
-    assert np.max(np.abs(slopes)) <= 0.7 + 1e-9
-
-
-def test_zero_nonlinearity():
-    f = Nonlinearity("zero")
-    assert f.lipschitz == 0.0
-    assert f.bound == 0.0
-    assert np.all(f.value(np.array([-3.0, 0.0, 9.9])) == 0.0)
-
-
 def test_nonlinearity_validation():
-    with pytest.raises(ParameterError, match="kind"):
-        Nonlinearity("cubic")
     with pytest.raises(ParameterError, match="lipschitz"):
-        Nonlinearity("scaled_tanh", lipschitz=-1.0)
+        Nonlinearity(lipschitz=-1.0)
     with pytest.raises(ParameterError, match="bound"):
-        Nonlinearity("scaled_tanh", bound=0.0)
+        Nonlinearity(bound=0.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ModelParams(mu="a", epsilon=1.0, alpha=1.0, tau=0.5), "mu"),
+    (lambda: ModelParams(mu=1.0, epsilon=None, alpha=1.0, tau=0.5), "epsilon"),
+    (lambda: Nonlinearity(lipschitz="a"), "lipschitz"),
+    (lambda: NoiseProfiles(1, span="x"), "span"),
+    (lambda: DispersalKernel("a", make_grid(20.0, 20)), "alpha"),
+], ids=["mu", "epsilon", "lipschitz", "span", "alpha"])
+def test_non_numeric_arguments_are_parameter_errors_naming_the_field(build, field):
+    with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+        build()
 
 
 def test_default_profiles_family():
@@ -73,7 +69,7 @@ def test_model_params_validation_names_fields():
 def test_feedback_lipschitz_product():
     params = ModelParams(
         mu=1.0, epsilon=2.0, alpha=1.0, tau=0.5,
-        nonlinearity=Nonlinearity("scaled_tanh", lipschitz=0.5, bound=1.0),
+        nonlinearity=Nonlinearity(lipschitz=0.5, bound=1.0),
     )
     assert params.feedback_lipschitz == pytest.approx(1.0)
 

@@ -7,8 +7,9 @@ import pytest
 
 from rdslab.config import parse_config
 from rdslab.errors import ConditionViolatedError, ParameterError
+from rdslab.experiments import run_experiment
 from rdslab.grid import Field, Segment, make_grid, segment_co_norm, sup_norm
-from rdslab.model import ModelParams, Nonlinearity
+from rdslab.model import ModelParams
 from rdslab.noise import NoiseProfiles, sample_wiener, zero_wiener
 from rdslab.pullback import (
     DerivedConstants,
@@ -100,8 +101,7 @@ def test_pullback_zero_noise_linear_decay():
     # no feedback, no noise: the pullback run is the killed heat flow,
     # so the terminal norm decays like e^{-mu (t - tau)} of the data
     params = ModelParams(
-        mu=1.0, epsilon=0.0, alpha=1.0, tau=0.1,
-        nonlinearity=Nonlinearity("zero"), profiles=NoiseProfiles(1),
+        mu=1.0, epsilon=0.0, alpha=1.0, tau=0.1, profiles=NoiseProfiles(1),
     )
     dt = 0.01
     solver = DelaySolver(GRID, params, SolverConfig(dt))
@@ -174,8 +174,12 @@ def test_cocycle_residual_trivial_legs():
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(1, -40.0, 2.0, dt, seed=5)
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
-    assert cocycle_residual(solver, psi, path, 0.0, 1.0) == 0.0
-    assert cocycle_residual(solver, psi, path, 1.0, 0.0) == 0.0
+    # only the direct run is integrated, and its terminal frame is reported
+    end = solver.solve(psi, path, 1.0).terminal_segment
+    sup = float(np.max(np.abs(end.values[-1])))
+    assert cocycle_residual(solver, psi, path, 0.0, 1.0) == (0.0, sup)
+    assert cocycle_residual(solver, psi, path, 1.0, 0.0) == (0.0, sup)
+    assert cocycle_residual(solver, psi, path, 0.0, 0.0) == (0.0, float(np.max(np.abs(psi.values[-1]))))
 
 
 def test_cocycle_residual_exact_restart():
@@ -184,11 +188,11 @@ def test_cocycle_residual_exact_restart():
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(1, -40.0, 2.0, dt, seed=6)
     psi = Segment.from_function(GRID, params.tau, dt, lambda xi, x: x * np.exp(-x))
-    res = cocycle_residual(solver, psi, path, 1.0, 1.0)
+    res, sup = cocycle_residual(solver, psi, path, 1.0, 1.0)
     # restarting from the stored delay window replays the identical
     # arithmetic, so the two-leg route reproduces the one-leg route
     # bit-for-bit -- far inside the 10 dt acceptance envelope
-    assert res == 0.0
+    assert res == 0.0 and sup > 0.0
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.01], ids=["m10", "m1"])
@@ -201,7 +205,7 @@ def test_cocycle_residual_exact_when_leg_blocks_do_not_align(tau):
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(1, -40.0, 1.0, dt, seed=8)
     psi = Segment.from_function(GRID, tau, dt, lambda xi, x: x * np.exp(-x) * (1 + 5 * xi))
-    assert cocycle_residual(solver, psi, path, 0.55, 0.37) == 0.0
+    assert cocycle_residual(solver, psi, path, 0.55, 0.37)[0] == 0.0
 
 
 @pytest.mark.parametrize("tau", [0.01, 0.1, 0.7], ids=["m1", "m10", "m70"])
@@ -213,7 +217,16 @@ def test_cocycle_residual_exact_across_windows(tau):
     solver = DelaySolver(GRID, params, SolverConfig(dt))
     path = sample_wiener(1, -40.0, 2.5, dt, seed=9)
     psi = Segment.from_function(GRID, tau, dt, lambda xi, x: x * np.exp(-x) * (1 + 5 * xi))
-    assert cocycle_residual(solver, psi, path, 0.83, 1.37) == 0.0
+    assert cocycle_residual(solver, psi, path, 0.83, 1.37)[0] == 0.0
+
+
+def test_cocycle_csv_tells_seeds_apart():
+    # the residual reads 0 at every seed; the direct run's sup norm does not
+    texts = [run_experiment(parse_config(f"experiment = cocycle\nseed = {seed}\n")).csv_text()
+             for seed in (7, 8)]
+    assert texts[0].splitlines()[0] == "dt,residual,direct_sup"
+    assert [line.split(",")[1] for line in texts[0].splitlines()[1:]] == ["0", "0"]
+    assert texts[0] != texts[1]
 
 
 def test_cocycle_residual_validates_lattice():

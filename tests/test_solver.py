@@ -13,7 +13,7 @@ from scipy.special import erf
 from rdslab.errors import ParameterError, WindowExhaustedError
 from rdslab.grid import Field, Segment, make_grid, sup_norm
 from rdslab.kernel import DispersalKernel
-from rdslab.model import ModelParams, Nonlinearity
+from rdslab.model import ModelParams
 from rdslab.noise import NoiseProfiles, noise_rows, ou_series, sample_wiener, zero_wiener
 from rdslab.pullback import advance_state
 from rdslab.semigroup import DirichletHeatSemigroup
@@ -39,7 +39,6 @@ def quiet_params(mu: float = 1.0, **kw) -> ModelParams:
         epsilon=0.0,
         alpha=1.0,
         tau=0.1,
-        nonlinearity=Nonlinearity("zero"),
         profiles=NoiseProfiles(1),
     )
     defaults.update(kw)
@@ -76,8 +75,8 @@ def steps_of(traj) -> int:
 # ----------------------------------------------------------------- feedback
 
 
-def test_feedback_zero_nonlinearity_gives_zero():
-    params = quiet_params(epsilon=1.0)
+def test_feedback_is_zero_at_epsilon_zero():
+    params = quiet_params()
     f = Field(GRID, np.sin(GRID.nodes))
     z = Field.zero(GRID)
     out = evaluate_feedback(params, f, z)
@@ -129,8 +128,7 @@ def test_feedback_accepts_prebuilt_kernel():
 
 
 def test_contraction_interval_cases():
-    assert contraction_interval(quiet_params(mu=1.0, epsilon=0.5,
-                                             nonlinearity=Nonlinearity("scaled_tanh"))) is None
+    assert contraction_interval(quiet_params(mu=1.0, epsilon=0.5)) is None
     two = live_params(mu=1.0, epsilon=2.0)
     assert contraction_interval(two) == pytest.approx(0.5 * np.log(2.0))
     assert contraction_interval(two) == pytest.approx(0.34657359027997264)
@@ -464,7 +462,7 @@ def _frame_by_frame(solver, psis, path, horizon):
     z_rows, q_rows = solver.field_rows(z), solver.field_rows(z, laplacian=True)
     full = solver.semigroup.operator(dt, order="spline").T
     half = solver.semigroup.operator(dt / 2.0, order="spline").T
-    feedback = params.epsilon != 0.0 and params.nonlinearity.kind != "zero"
+    feedback = params.epsilon != 0.0
     b = len(psis) if feedback else 1
     for k in range(n):
         r = (phase + k) % m
@@ -486,7 +484,7 @@ def _frame_by_frame(solver, psis, path, horizon):
 _BLOCK_CASES = pytest.mark.parametrize(
     "tau, dt, horizon", [(0.1, 0.01, 0.37), (0.02, 0.02, 0.3)], ids=["m10-partial", "m1"]
 )
-_FEEDBACK = {"live": {}, "eps0": {"epsilon": 0.0}, "zero-f": {"nonlinearity": Nonlinearity("zero")}}
+_FEEDBACK = {"live": {}, "eps0": {"epsilon": 0.0}}
 
 
 def _block_psis(tau, dt):
