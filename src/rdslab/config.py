@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import ConditionViolatedError, ParameterError
+from .errors import ConditionViolatedError, ParameterError, integer, nonnegative, positive
 from .grid import Grid, lattice_steps, make_grid
 from .model import ModelParams, Nonlinearity
 from .noise import NoiseProfiles
@@ -25,91 +23,78 @@ __all__ = ["ExperimentSpec", "parse_config", "EXPERIMENTS", "config_template"]
 
 _REQUIRED = object()
 
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParameterError(f"expected an integer, got {text!r}") from exc
-
-
-def _float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError as exc:
-        raise ParameterError(f"expected a number, got {text!r}") from exc
-    if not np.isfinite(v):
-        raise ParameterError(f"expected a finite number, got {text!r}")
-    return v
-
-
-_SEED = {"seed": (_int, _REQUIRED)}
-# Keys of the experiments that build a grid; the noise-only ones take no L or N.
-_COMMON = {
-    **_SEED,
-    "L": (_float, 20.0),
-    "N": (_int, 200),
+# Key rule -> (type of the text, its range by the package's argument rule).
+_RULES = {
+    "positive": (float, positive),
+    "nonnegative": (float, nonnegative),
+    "count": (int, lambda name, value: integer(name, value, 1)),
+    "seed": (int, lambda name, value: integer(name, value, 0)),
 }
+
+_SEED = {"seed": ("seed", _REQUIRED)}
+# Keys of the experiments that build a grid; the noise-only ones take no L or N.
+_COMMON = {**_SEED, "L": ("positive", 20.0), "N": ("count", 200)}
 
 _DYNAMICS = {
-    "mu": (_float, 1.0),
-    "epsilon": (_float, 1.0),
-    "lipschitz": (_float, 1.0),
-    "bound": (_float, 1.0),
-    "alpha": (_float, 1.0),
-    "tau": (_float, 0.1),
-    "m": (_int, 1),
-    "dt": (_float, 0.01),
+    "mu": ("positive", 1.0),
+    "epsilon": ("nonnegative", 1.0),
+    "lipschitz": ("positive", 1.0),
+    "bound": ("positive", 1.0),
+    "alpha": ("positive", 1.0),
+    "tau": ("positive", 0.1),
+    "m": ("count", 1),
+    "dt": ("positive", 0.01),
 }
 
-# Experiment name -> key schema: {key: (converter, default-or-required)}.
+# Experiment name -> key schema: {key: (rule, default-or-required)}.
 EXPERIMENTS: dict[str, dict] = {
-    "kernel-bound": {**_COMMON, "alpha": (_float, 1.0), "trials": (_int, 100)},
-    "semigroup-bounds": {**_COMMON, "mu": (_float, 1.0), "fields": (_int, 20)},
-    "ou-stats": {**_SEED, "mu": (_float, 1.0), "dt_path": (_float, 0.02), "paths": (_int, 10000)},
+    "kernel-bound": {**_COMMON, "alpha": ("positive", 1.0), "trials": ("count", 100)},
+    "semigroup-bounds": {**_COMMON, "fields": ("count", 20)},
+    "ou-stats": {**_SEED, "mu": ("positive", 1.0), "dt_path": ("positive", 0.02),
+                 "paths": ("count", 10000)},
     "temperedness": {
         **_SEED,
-        "mu": (_float, 1.0),
-        "beta": (_float, 0.1),
-        "horizon": (_float, 200.0),
-        "dt_path": (_float, 0.1),
-        "paths": (_int, 1000),
-        "m": (_int, 2),
+        "mu": ("positive", 1.0),
+        "beta": ("positive", 0.1),
+        "horizon": ("positive", 200.0),
+        "dt_path": ("positive", 0.1),
+        "paths": ("count", 1000),
+        "m": ("count", 2),
     },
     "picard-contraction": {
         **_COMMON,
         **_DYNAMICS,
-        "epsilon": (_float, 2.0),
-        "dt": (_float, 0.005),
-        "horizon_fraction": (_float, 0.9),
+        "epsilon": ("nonnegative", 2.0),
+        "dt": ("positive", 0.005),
+        "horizon_fraction": ("positive", 0.9),
     },
-    "cocycle": {**_COMMON, **_DYNAMICS, "t": (_float, 1.0), "s": (_float, 1.0)},
+    "cocycle": {**_COMMON, **_DYNAMICS, "t": ("nonnegative", 1.0), "s": ("nonnegative", 1.0)},
     "absorbing": {
         **_COMMON,
         **_DYNAMICS,
-        "mu": (_float, 2.0),
-        "tau": (_float, 0.25),
-        "dt": (_float, 0.025),
-        "paths": (_int, 20),
-        "segments": (_int, 5),
-        "co_max": (_float, 10.0),
-        "t_max": (_float, 10.0),
+        "mu": ("positive", 2.0),
+        "tau": ("positive", 0.25),
+        "dt": ("positive", 0.025),
+        "paths": ("count", 20),
+        "segments": ("count", 5),
+        "co_max": ("positive", 10.0),
+        "t_max": ("positive", 10.0),
     },
     "fixed-point": {
         **_COMMON,
         **_DYNAMICS,
-        "mu": (_float, 3.0),
-        "tau": (_float, 0.5),
-        "horizon": (_float, 10.0),
+        "mu": ("positive", 3.0),
+        "tau": ("positive", 0.5),
+        "horizon": ("positive", 10.0),
     },
     "convergence-study": {
         **_COMMON,
         **_DYNAMICS,
-        "N": (_int, 800),
-        "tau": (_float, 0.2),
-        "dt": (_float, 0.04),
-        "dt_ref": (_float, 0.005),
-        "horizon": (_float, 1.0),
+        "N": ("count", 800),
+        "tau": ("positive", 0.2),
+        "dt": ("positive", 0.04),
+        "dt_ref": ("positive", 0.005),
+        "horizon": ("positive", 1.0),
     },
 }
 
@@ -213,11 +198,12 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
     for key, text_value in raw.items():
         if key not in schema:
             raise ParameterError(f"unknown key {key!r} for experiment {name!r}")
-        convert = schema[key][0]
+        kind = _RULES[schema[key][0]][0]
         try:
-            values[key] = convert(text_value)
-        except ParameterError as exc:
-            raise ParameterError(f"key {key!r}: {exc}") from exc
+            values[key] = kind(text_value)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ParameterError(f"key {key!r}: expected {expected}, got {text_value!r}") from None
     for key, (_, default) in schema.items():
         if key in values:
             continue
@@ -226,6 +212,8 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
         values[key] = default
     if seed is not None:
         values["seed"] = seed
+    for key, value in values.items():
+        _RULES[schema[key][0]][1](f"key {key!r}", value)
 
     spec = ExperimentSpec(name, values)
     _validate_ranges(values)
@@ -235,10 +223,6 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
     return spec
 
 
-_POSITIVE = ("L", "mu", "alpha", "tau", "dt", "dt_path", "dt_ref", "beta",
-             "horizon", "t_max", "co_max", "bound")
-_NONNEGATIVE = ("epsilon", "lipschitz", "seed", "t", "s")
-_POSITIVE_INT = ("N", "trials", "fields", "paths", "segments", "m")
 # Most steps in the OU window, 40 / (mu * step) at the finest time step,
 # and in the window plus the horizon, (40 / mu + horizon) / step: the
 # defaults need at most 8,000 and 8,200; a record this long takes 8 MB a path.
@@ -254,15 +238,6 @@ _MAX_CELLS = math.isqrt(_MAX_MATRIX_BYTES // 8) - 1
 
 
 def _validate_ranges(values: dict) -> None:
-    for key in _POSITIVE:
-        if key in values and not values[key] > 0:
-            raise ParameterError(f"key {key!r} must be positive, got {values[key]}")
-    for key in _NONNEGATIVE:
-        if key in values and values[key] < 0:
-            raise ParameterError(f"key {key!r} must be nonnegative, got {values[key]}")
-    for key in _POSITIVE_INT:
-        if key in values and values[key] < 1:
-            raise ParameterError(f"key {key!r} must be at least 1, got {values[key]}")
     if "N" in values and values["N"] > _MAX_CELLS:
         raise ParameterError(f"N = {values['N']} exceeds {_MAX_CELLS}: each dense (N + 1)^2 "
                              f"operator matrix would take more than {_MAX_MATRIX_BYTES >> 20} MiB")
@@ -278,9 +253,9 @@ def _validate_ranges(values: dict) -> None:
             named = ", ".join(f"{k} = {values[k]}" for k in spans)
             raise ParameterError(f"{named} and {key} = {values[key]} make a record of "
                                  f"(40 / mu + {' + '.join(spans)}) / {key} > {_MAX_WINDOW_STEPS} steps")
-    frac = values.get("horizon_fraction")
-    if frac is not None and not 0.0 < frac <= 1.0:
-        raise ParameterError(f"key 'horizon_fraction' must lie in (0, 1], got {frac}")
+    frac = values.get("horizon_fraction", 1.0)
+    if frac > 1.0:
+        raise ParameterError(f"key 'horizon_fraction' must be at most 1, got {frac}")
 
 
 def config_template(name: str) -> str:

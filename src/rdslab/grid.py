@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, float_array, integer, positive
 
 __all__ = [
     "Grid",
@@ -56,9 +56,8 @@ def lattice_steps(span, step: float, what: str, minimum: int | None = 0):
     already computed.  A scalar takes the same array computation as an
     array and comes back as an int.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ParameterError(f"{what}: lattice step must be positive and finite, got {step!r}")
-    x = np.asarray(span, dtype=float)
+    positive(f"{what}: lattice step", step)
+    x = float_array(what, span)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
         k = x / step
         n = np.rint(k)
@@ -90,7 +89,7 @@ class Grid:
     length: float
     n_cells: int
     dx: float
-    nodes: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False, compare=False)  # fixed by length and n_cells
 
     def __post_init__(self) -> None:
         self.nodes.setflags(write=False)
@@ -106,10 +105,8 @@ def make_grid(length: float, n_cells: int) -> Grid:
     n_cells : int
         Cell count N >= 1.
     """
-    if not (isinstance(n_cells, (int, np.integer)) and n_cells >= 1):
-        raise ParameterError(f"N must be a positive integer, got {n_cells!r}")
-    if not (length > 0 and math.isfinite(length)):
-        raise ParameterError(f"L must be positive and finite, got {length!r}")
+    integer("N", n_cells, 1)
+    positive("L", length)
     nodes = np.linspace(0.0, float(length), int(n_cells) + 1)
     return Grid(float(length), int(n_cells), float(length) / int(n_cells), nodes)
 
@@ -129,7 +126,7 @@ class Field:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = float_array("field values", self.values)
         if v.shape != (self.grid.n_cells + 1,):
             raise ParameterError(
                 f"field values have shape {v.shape}, expected {(self.grid.n_cells + 1,)}"
@@ -202,12 +199,9 @@ class Segment:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ParameterError(f"tau must be positive, got {self.tau!r}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        v = np.asarray(self.values, dtype=float)
-        want = (lattice_steps(self.tau, self.dt, "tau") + 1, self.grid.n_cells + 1)
+        want = (lattice_steps(positive("tau", self.tau), positive("dt", self.dt), "tau") + 1,
+                self.grid.n_cells + 1)
+        v = float_array("segment values", self.values)
         if v.shape != want:
             raise ParameterError(f"segment values have shape {v.shape}, expected {want}")
         if not np.all(np.isfinite(v)):
@@ -237,7 +231,7 @@ class Segment:
         """Sample fn(xi, x) at every frame time and node."""
         m = lattice_steps(tau, dt, "tau")
         xis = -tau + dt * np.arange(m + 1)
-        rows = [np.asarray(fn(xi, grid.nodes), dtype=float) for xi in xis]
+        rows = [float_array("fn values", fn(xi, grid.nodes)) for xi in xis]
         return cls(grid, tau, dt, np.vstack(rows))
 
 

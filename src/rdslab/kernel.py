@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, require_real
+from .errors import ParameterError, float_array, positive
 from .grid import Grid
 from .quadrature import erf, operator_matrix
 
@@ -47,16 +47,13 @@ class DispersalKernel:
     """Precomputed dense matrix of the dispersal operator on a grid."""
 
     def __init__(self, alpha: float, grid: Grid):
-        if not (np.isfinite(require_real("alpha", alpha)) and alpha > 0):
-            raise ParameterError(f"alpha must be positive and finite, got {alpha!r}")
+        positive("alpha", alpha)
         self.grid = grid
         self.matrix = operator_matrix(grid.nodes, grid.nodes, alpha, kind="image_pair", order="linear")
         self.matrix.setflags(write=False)
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape[-1] != self.grid.n_cells + 1:
-            raise ParameterError(
-                f"values last axis {values.shape[-1]} does not match grid ({self.grid.n_cells + 1})"
-            )
+        values = float_array("values", values)
+        if values.shape[-1:] != self.grid.nodes.shape:
+            raise ParameterError(f"values shape {values.shape} must end in {self.grid.nodes.shape}")
         return values @ self.matrix.T

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditionViolatedError, ParameterError, require_real
+from .errors import ConditionViolatedError, float_array, nonnegative, positive
 from .noise import NoiseProfiles
 
 __all__ = ["Nonlinearity", "ModelParams"]
@@ -46,13 +46,11 @@ class Nonlinearity:
     bound: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("lipschitz", "bound"):
-            v = require_real(name, getattr(self, name))
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be positive, got {v!r}")
+        positive("lipschitz", self.lipschitz)
+        positive("bound", self.bound)
 
     def value(self, s):
-        return self.bound * np.tanh(self.lipschitz * np.asarray(s, dtype=float) / self.bound)
+        return self.bound * np.tanh(self.lipschitz * float_array("s", s) / self.bound)
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("mu", "alpha", "tau"):
-            v = require_real(name, getattr(self, name))
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
-        eps = require_real("epsilon", self.epsilon)
-        if not (np.isfinite(eps) and eps >= 0):
-            raise ParameterError(f"epsilon must be nonnegative and finite, got {eps!r}")
+            positive(name, getattr(self, name))
+        nonnegative("epsilon", self.epsilon)
 
     @property
     def m(self) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, WindowExhaustedError, require_real
+from .errors import ParameterError, WindowExhaustedError, float_array, integer, positive, seeds
 from .grid import lattice_steps
 
 __all__ = [
@@ -75,13 +75,11 @@ class WienerPath:
     dt_knot: float
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.base_values, dtype=float)
+        v = float_array("base_values", self.base_values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 2:
             raise ParameterError(f"base_values must be (m, n>=2), got shape {v.shape}")
-        if not (0 <= self.origin < v.shape[1]):
-            raise ParameterError(f"origin {self.origin} outside base record")
-        if not (np.isfinite(self.dt_knot) and self.dt_knot > 0):
-            raise ParameterError(f"dt_knot must be positive, got {self.dt_knot!r}")
+        integer("origin", self.origin, 0, v.shape[1] - 1)
+        positive("dt_knot", self.dt_knot)
         object.__setattr__(self, "base_values", v)
         v.setflags(write=False)
 
@@ -103,7 +101,7 @@ class WienerPath:
         Errors if a time is off-lattice or outside the window, naming the
         first such time.
         """
-        t = np.asarray(t, dtype=float)
+        t = float_array("time", t)
         idx = self.origin + lattice_steps(t, self.dt_knot, "time", minimum=None)
         outside = np.logical_or(idx < 0, idx >= self.base_values.shape[1])
         if outside.any():
@@ -129,13 +127,13 @@ class WienerPath:
 
 def _window_steps(m: int, t_lo: float, t_hi: float, dt_path: float) -> tuple[int, int]:
     """Lattice steps (backward, forward) of the window [t_lo, t_hi], validated."""
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
-    if not (np.isfinite(dt_path) and dt_path > 0):
-        raise ParameterError(f"dt_path must be positive, got {dt_path!r}")
-    if not (t_lo <= 0.0 <= t_hi and t_hi > t_lo):
+    integer("m", m, 1)
+    positive("dt_path", dt_path)
+    n_neg = -lattice_steps(t_lo, dt_path, "t_lo", minimum=None)
+    n_pos = lattice_steps(t_hi, dt_path, "t_hi", minimum=None)
+    if n_neg < 0 or n_pos < 0 or n_neg + n_pos == 0:
         raise ParameterError(f"window [{t_lo}, {t_hi}] must contain 0 with t_lo < t_hi")
-    return -lattice_steps(t_lo, dt_path, "t_lo", minimum=None), lattice_steps(t_hi, dt_path, "t_hi")
+    return n_neg, n_pos
 
 
 def sample_wiener(
@@ -148,20 +146,19 @@ def sample_wiener(
     drawn first, so enlarging the backward window does not change the
     forward samples for a fixed seed.
 
-    ``seed`` is an int or a sequence of ints.  Member i of a sequence owns
-    rows i*m ... i*m + m - 1 of one path, with the bits of a lone call.
+    ``seed`` is a nonnegative int or a non-empty sequence of them.  Member
+    i of a sequence owns rows i*m ... i*m + m - 1 of one path, with the
+    bits of a lone call.
     """
     n_neg, n_pos = _window_steps(m, t_lo, t_hi, dt_path)
-    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    if not seeds:
-        raise ParameterError("seed sequence is empty")
-    fwd, bwd = np.empty((len(seeds) * m, n_pos)), np.empty((len(seeds) * m, n_neg))
-    for i, rng in enumerate(map(np.random.default_rng, seeds)):
+    members = seeds(seed)
+    fwd, bwd = np.empty((len(members) * m, n_pos)), np.empty((len(members) * m, n_neg))
+    for i, rng in enumerate(map(np.random.default_rng, members)):
         rng.standard_normal(out=fwd[i * m : i * m + m])
         rng.standard_normal(out=bwd[i * m : i * m + m])
     fwd *= math.sqrt(dt_path)
     bwd *= math.sqrt(dt_path)
-    values = np.zeros((len(seeds) * m, n_neg + n_pos + 1))
+    values = np.zeros((len(members) * m, n_neg + n_pos + 1))
     np.cumsum(fwd, axis=1, out=values[:, n_neg + 1 :])
     np.cumsum(bwd, axis=1, out=values[:, :n_neg][:, ::-1])
     return WienerPath(values, n_neg, dt_path)
@@ -184,11 +181,7 @@ class OUParams:
     s_cut: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ParameterError(f"mu must be positive and finite, got {self.mu!r}")
-        if not (np.isfinite(self.s_cut) and self.s_cut > 0):
-            raise ParameterError(f"s_cut must be positive and finite, got {self.s_cut!r}")
-        if self.mu * self.s_cut < 40.0 - 1e-9:
+        if positive("mu", self.mu) * positive("s_cut", self.s_cut) < 40.0 - 1e-9:
             raise ParameterError(
                 f"mu * s_cut = {self.mu * self.s_cut:g} < 40; truncation tail not negligible"
             )
@@ -264,8 +257,7 @@ def temperedness_diagnostic(
     the direct observable for that decay along one path.  Also returns the
     :func:`empirical_decay_bound` of [-horizon, 0], bit for bit, from the same series.
     """
-    if not (np.isfinite(beta) and beta > 0):
-        raise ParameterError(f"beta must be positive, got {beta!r}")
+    positive("beta", beta)
     n = lattice_steps(horizon, path.dt_knot, "horizon")
     t = path.dt_knot * np.arange(n + 1)
     z = ou_series(path, p, -t)
@@ -303,10 +295,8 @@ class NoiseProfiles:
     span: float = 20.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, (int, np.integer)) and 1 <= self.m <= 3):
-            raise ParameterError(f"m must be in 1..3, got {self.m!r}")
-        if not (np.isfinite(require_real("profile span", self.span)) and self.span > 0):
-            raise ParameterError(f"profile span must be positive, got {self.span!r}")
+        integer("m", self.m, 1, 3)
+        positive("profile span", self.span)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """g_j(x), shape (m, len(x)); only the m rows returned are evaluated."""
@@ -353,7 +343,7 @@ def noise_rows(profile_rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     only on its own column of z: rows built for different time sets agree
     bit for bit where the times agree.
     """
-    z = np.asarray(z, dtype=float)
+    z = float_array("z", z)
     if z.ndim != 2 or z.shape[0] != profile_rows.shape[0]:
         raise ParameterError(
             f"z has shape {z.shape}, expected ({profile_rows.shape[0]}, n_times) to match profiles"

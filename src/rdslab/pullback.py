@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolatedError, ParameterError
+from .errors import ConditionViolatedError, nonnegative
 from .grid import Grid, Segment, lattice_steps, segment_co_norm, sup_norm
 from .model import ModelParams
 from .noise import OUParams, WienerPath, default_s_cut, empirical_decay_bound
@@ -75,10 +75,8 @@ class DerivedConstants:
     r_hat: float
 
     def __post_init__(self) -> None:
-        for name in ("c", "r_hat"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be nonnegative and finite, got {v!r}")
+        nonnegative("c", self.c)
+        nonnegative("r_hat", self.r_hat)
 
 
 def profile_constant(params: ModelParams, grid: Grid) -> float:

@@ -89,7 +89,7 @@ from math import comb
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError
+from .errors import ParameterError, float_array, positive
 from .grid import lattice_steps
 
 __all__ = ["operator_matrix", "flush_subnormal", "gaussian_pdf", "erf"]
@@ -109,7 +109,7 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
 
 def erf(x) -> np.ndarray:
     """The error function, from libm."""
-    return _libm(math.erf, np.asarray(x, dtype=float))
+    return _libm(math.erf, float_array("x", x))
 
 
 def _ndtr_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,13 +253,12 @@ def operator_matrix(
     -------
     numpy.ndarray of shape ``(len(out_x), len(in_nodes))``.
     """
-    if not a > 0:
-        raise ParameterError(f"gaussian width parameter a must be positive, got {a!r}")
+    positive("gaussian width parameter a", a)
     if kind not in ("image_pair", "free"):
         raise ParameterError(f"unknown kernel kind {kind!r}")
     if order not in ("linear", "spline"):
         raise ParameterError(f"unknown interpolation order {order!r}")
-    nodes = np.asarray(in_nodes, dtype=float).reshape(-1)
+    nodes = float_array("in_nodes", in_nodes).reshape(-1)
     n_nodes = nodes.size
     if n_nodes < 2:
         raise ParameterError("need at least two input nodes")
@@ -268,7 +267,7 @@ def operator_matrix(
     if bad.any():
         node = nodes[np.argmax(bad)]
         raise ParameterError(f"input nodes must be uniformly spaced, node {node} is not")
-    x = np.asarray(out_x, dtype=float).reshape(-1)
+    x = float_array("out_x", out_x).reshape(-1)
     p = lattice_steps(x - nodes[0], dx, "offset of output point", minimum=None)
     spline = order == "spline" and n_nodes > 2
     sigma = np.sqrt(2.0 * a)

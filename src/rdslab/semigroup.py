@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import positive
 from .grid import Field, Grid, sup_norm
 from .quadrature import flush_subnormal, operator_matrix
 
@@ -37,19 +37,15 @@ class DirichletHeatSemigroup:
     """Dense propagator matrices for a fixed grid and killing rate mu."""
 
     def __init__(self, grid: Grid, mu: float):
-        if not (np.isfinite(mu) and mu > 0):
-            raise ParameterError(f"mu must be positive and finite, got {mu!r}")
         self.grid = grid
-        self.mu = float(mu)
+        self.mu = float(positive("mu", mu))
         self._cache: dict[tuple[float, str], np.ndarray] = {}
 
     # -- matrices ---------------------------------------------------------
 
     def operator(self, t: float, order: str = "spline") -> np.ndarray:
         """Matrix of S(t) including the e^{-mu t} killing factor."""
-        if not (np.isfinite(t) and t > 0):
-            raise ParameterError(f"propagator time must be positive, got {t!r}")
-        key = (float(t), order)
+        key = (float(positive("propagator time", t)), order)
         w = self._cache.get(key)
         if w is None:
             # scaled in place: an N = 800 build holds one matrix, not two.
@@ -70,8 +66,7 @@ class DirichletHeatSemigroup:
         structural cross-check of the two-term kernel.
         """
         f.require_dirichlet("odd extension input")
-        if not (np.isfinite(t) and t > 0):
-            raise ParameterError(f"propagator time must be positive, got {t!r}")
+        positive("propagator time", t)
         nodes = self.grid.nodes
         ext_nodes = np.concatenate([-nodes[:0:-1], nodes])
         ext_values = np.concatenate([-f.values[:0:-1], f.values])
@@ -88,8 +83,7 @@ class DirichletHeatSemigroup:
         linear-path output (in x) and of the propagator family (in t,
         relative step 1e-3); the caller chooses the slack.
         """
-        if not (np.isfinite(t) and t > 0):
-            raise ParameterError(f"bounds check requires t > 0, got {t!r}")
+        positive("bounds check time t", t)
         dx = self.grid.dx
         norm_f = sup_norm(f)
         decay = np.exp(-self.mu * t)

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, float_array, positive
 from .grid import Field, Grid, Segment, lattice_steps
 from .kernel import DispersalKernel
 from .model import ModelParams
@@ -110,8 +110,7 @@ class SolverConfig:
     mode: str = "method-of-steps"
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
+        positive("dt", self.dt)
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -127,7 +126,7 @@ class Trajectory:
     history_frames: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = float_array("trajectory values", self.values)
         m = lattice_steps(self.tau, self.dt, "trajectory tau")
         if v.ndim != 2 or v.shape[0] < m + 1 or v.shape[1] != self.grid.n_cells + 1:
             raise ParameterError(f"trajectory values have invalid shape {v.shape}")

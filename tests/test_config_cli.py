@@ -56,6 +56,27 @@ def test_noise_only_experiments_take_no_grid_keys(name, key):
         parse_config(f"experiment = {name}\nseed = 1\n{key} = 7\n")
 
 
+def test_semigroup_bounds_takes_no_mu(tmp_path, capsys):
+    # the sweep always runs the three rates: no value switches it to one
+    assert "mu" not in EXPERIMENTS["semigroup-bounds"]
+    cfg = _write(tmp_path, "mu.cfg", "experiment = semigroup-bounds\nseed = 7\nmu = 2\n")
+    assert main(["validate", "--config", cfg]) == 2
+    assert "unknown key 'mu' for experiment 'semigroup-bounds'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lipschitz = 0", "key 'lipschitz' must be positive, got 0.0"),
+    ("epsilon = -1", "key 'epsilon' must be nonnegative, got -1.0"),
+    ("tau = inf", "key 'tau' must be finite, got inf"),
+    ("N = 0", "key 'N' must be at least 1, got 0"),
+    ("N = 2.5", "key 'N': expected an integer, got '2.5'"),
+])
+def test_each_key_is_checked_by_its_rule(line, message):
+    with pytest.raises(ParameterError) as err:
+        parse_config(f"experiment = cocycle\nseed = 1\n{line}\n")
+    assert str(err.value) == message
+
+
 def test_missing_required_key_is_named():
     with pytest.raises(ParameterError, match="seed"):
         parse_config("experiment = kernel-bound\n")
@@ -287,7 +308,7 @@ def test_cli_seed_override_changes_rows(tmp_path):
     assert main(["run", "--config", cfg, "--out", out_a]) == 0
     assert main(["run", "--config", cfg, "--out", out_b, "--seed", "8"]) == 0
     assert main(["run", "--config", cfg, "--out", out_c, "--seed", "7"]) == 0
-    read = lambda d: open(os.path.join(d, "kernel-bound.csv"), encoding="utf-8").read()
+    read = lambda d: Path(d, "kernel-bound.csv").read_text(encoding="utf-8")
     assert read(out_a) != read(out_b)
     assert read(out_a) == read(out_c)
 
@@ -297,6 +318,8 @@ def test_seed_override_is_validated_like_the_file_seed():
     assert parse_config(text, seed=8)["seed"] == 8
     with pytest.raises(ParameterError, match="seed"):
         parse_config(text, seed=-1)
+    with pytest.raises(ParameterError, match="key 'seed' must be an integer"):
+        parse_config(text, seed=1.5)
     # the file must still name a seed
     with pytest.raises(ParameterError, match="missing required key 'seed'"):
         parse_config("experiment = kernel-bound\n", seed=8)

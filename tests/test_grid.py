@@ -28,6 +28,13 @@ def test_make_grid_basic():
     assert grid.nodes[-1] == pytest.approx(20.0)
 
 
+def test_grids_built_alike_compare_equal():
+    # the nodes follow from L and N, so equality never compares two arrays
+    assert make_grid(2.0, 4) == make_grid(2.0, 4)
+    assert make_grid(2.0, 4) != make_grid(2.0, 5)
+    assert hash(make_grid(2.0, 4)) == hash(make_grid(2.0, 4))
+
+
 def test_make_grid_rejects_bad_inputs():
     with pytest.raises(ParameterError, match="L"):
         make_grid(-1.0, 100)

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from rdslab.errors import ConditionViolatedError, ParameterError
-from rdslab.grid import make_grid
+from rdslab.grid import Field, Segment, lattice_steps, make_grid
 from rdslab.kernel import DispersalKernel
 from rdslab.model import ModelParams, Nonlinearity
-from rdslab.noise import NoiseProfiles
+from rdslab.noise import NoiseProfiles, OUParams, WienerPath, sample_wiener
+from rdslab.pullback import DerivedConstants, cocycle_residual, pullback_conjugated
+from rdslab.quadrature import operator_matrix
+from rdslab.semigroup import DirichletHeatSemigroup
+from rdslab.solver import DelaySolver, SolverConfig, Trajectory
 
 
 def test_scaled_tanh_respects_bound_and_lipschitz():
@@ -32,15 +36,69 @@ def test_nonlinearity_validation():
         Nonlinearity(bound=0.0)
 
 
-@pytest.mark.parametrize("build, field", [
-    (lambda: ModelParams(mu="a", epsilon=1.0, alpha=1.0, tau=0.5), "mu"),
-    (lambda: ModelParams(mu=1.0, epsilon=None, alpha=1.0, tau=0.5), "epsilon"),
-    (lambda: Nonlinearity(lipschitz="a"), "lipschitz"),
-    (lambda: NoiseProfiles(1, span="x"), "span"),
-    (lambda: DispersalKernel("a", make_grid(20.0, 20)), "alpha"),
-], ids=["mu", "epsilon", "lipschitz", "span", "alpha"])
-def test_non_numeric_arguments_are_parameter_errors_naming_the_field(build, field):
-    with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+_GRID = make_grid(2.0, 4)
+
+
+def _path():
+    return sample_wiener(1, -1.0, 1.0, 0.05, seed=1)
+
+
+def _solver():
+    params = ModelParams(mu=1.0, epsilon=1.0, alpha=1.0, tau=0.1)
+    return DelaySolver(_GRID, params, SolverConfig(0.05))
+
+
+def _psi():
+    return Segment.constant(Field.zero(_GRID), 0.1, 0.05)
+
+
+# id -> (call, the name its message gives, what the argument must be): one
+# malformed argument per case, each caught by the package's one argument rule
+_MALFORMED = {
+    "mu": (lambda: ModelParams(mu="a", epsilon=1.0, alpha=1.0, tau=0.5), "mu", "a real number"),
+    "epsilon": (lambda: ModelParams(mu=1.0, epsilon=None, alpha=1.0, tau=0.5), "epsilon", "a real number"),
+    "lipschitz": (lambda: Nonlinearity(lipschitz="a"), "lipschitz", "a real number"),
+    "span": (lambda: NoiseProfiles(1, span="x"), "span", "a real number"),
+    "alpha": (lambda: DispersalKernel("a", make_grid(20.0, 20)), "alpha", "a real number"),
+    "mu-beyond-double": (lambda: ModelParams(mu=10**400, epsilon=1.0, alpha=1.0, tau=0.5), "mu", "finite"),
+    "SolverConfig-dt": (lambda: SolverConfig("a"), "dt", "a real number"),
+    "SolverConfig-None": (lambda: SolverConfig(None), "dt", "a real number"),
+    "OUParams-mu": (lambda: OUParams("a", 40), "mu", "a real number"),
+    "semigroup-mu": (lambda: DirichletHeatSemigroup(_GRID, "a"), "mu", "a real number"),
+    "semigroup-operator-t": (lambda: DirichletHeatSemigroup(_GRID, 1.0).operator("a"),
+                             "propagator time", "a real number"),
+    "make_grid-L": (lambda: make_grid("a", 10), "L", "a real number"),
+    "Field-values": (lambda: Field(_GRID, "a"), "field values", "real"),
+    "Segment-tau": (lambda: Segment(_GRID, "a", 0.05, _psi().values), "tau", "a real number"),
+    "Segment-values": (lambda: Segment(_GRID, 0.1, 0.05, values="a"), "segment values", "real"),
+    "lattice_steps-step": (lambda: lattice_steps(1.0, "a", "span"), "span: lattice step", "a real number"),
+    "solve-horizon": (lambda: _solver().solve(_psi(), _path(), "a"), "horizon", "real"),
+    "shift": (lambda: _path().shift("a"), "time", "real"),
+    "pullback-t": (lambda: pullback_conjugated(_solver(), _psi(), _path(), t="a"), "pullback time t", "real"),
+    "cocycle-t": (lambda: cocycle_residual(_solver(), _psi(), _path(), "a", 0.1), "t", "real"),
+    "WienerPath-values": (lambda: WienerPath("a", 0, 0.05), "base_values", "real"),
+    "WienerPath-origin": (lambda: WienerPath(np.zeros((1, 3)), origin=1.5, dt_knot=0.05),
+                          "origin", "an integer"),
+    "Trajectory-values": (lambda: Trajectory(_GRID, 0.1, 0.05, "a"), "trajectory values", "real"),
+    "apply_values": (lambda: DispersalKernel(1.0, _GRID).apply_values("a"), "values", "real"),
+    "sample_wiener-dt_path": (lambda: sample_wiener(1, -1.0, 1.0, "a", seed=1), "dt_path", "a real number"),
+    "sample_wiener-t_lo": (lambda: sample_wiener(1, "a", 1.0, 0.05, seed=1), "t_lo", "real"),
+    "sample_wiener-seed-float": (lambda: sample_wiener(1, -1.0, 1.0, 0.05, seed=1.5),
+                                 "seed", "an int or a sequence of ints"),
+    "sample_wiener-seed-str": (lambda: sample_wiener(1, -1.0, 1.0, 0.05, seed="ab"),
+                               "seed", "an int or a sequence of ints"),
+    "sample_wiener-seed-negative": (lambda: sample_wiener(1, -1.0, 1.0, 0.05, seed=-1), "seed", "at least 0"),
+    "DerivedConstants-c": (lambda: DerivedConstants("a", 1.0), "c", "a real number"),
+    "operator_matrix-a-str": (lambda: operator_matrix(_GRID.nodes, _GRID.nodes, "a"),
+                              "gaussian width parameter a", "a real number"),
+    "operator_matrix-a-inf": (lambda: operator_matrix(_GRID.nodes, _GRID.nodes, np.inf),
+                              "gaussian width parameter a", "finite"),
+}
+
+
+@pytest.mark.parametrize("build, field, what", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_non_numeric_arguments_are_parameter_errors_naming_the_field(build, field, what):
+    with pytest.raises(ParameterError, match=f"{field} must be {what}"):
         build()
 
 

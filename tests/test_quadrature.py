@@ -232,30 +232,72 @@ def test_assembly_holds_few_matrices(order, bound):
     assert peak < bound * w.nbytes
 
 
-def _per_argument_moments(sigma: float, edges: np.ndarray) -> list[np.ndarray]:
-    """The interval moments with one normal CDF pair per edge."""
-    a, b = edges[:-1], edges[1:]
-    pdf = gaussian_pdf(edges, sigma)
-    pa, pb = pdf[:-1], pdf[1:]
-    s2 = sigma * sigma
-    z = edges / sigma
-    lower, upper = _ndtr_pair(z)
-    i0 = np.where(z[:-1] + z[1:] > 0, upper[:-1] - upper[1:], lower[1:] - lower[:-1])
-    i1 = s2 * (pa - pb)
-    i2 = s2 * i0 + s2 * (a * pa - b * pb)
-    return [i0, i1, i2, s2 * (a * a * pa - b * b * pb) + 2.0 * s2 * i1]
+def _i0_per_edge(sigma: float, edges: np.ndarray) -> np.ndarray:
+    """I_0 = P(a <= sigma Z <= b) over each interval, edge by edge in Python:
+    Q(a/sigma) - Q(b/sigma) with Q(z) = erfc(z / sqrt 2) / 2 where the
+    interval leans right, P(b/sigma) - P(a/sigma) with P(z) = Q(-z) otherwise."""
+    half, sigma = math.sqrt(0.5), float(sigma)
+    out = []
+    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        za, zb = a / sigma, b / sigma
+        if za + zb > 0:
+            out.append(0.5 * math.erfc(za * half) - 0.5 * math.erfc(zb * half))
+        else:
+            out.append(0.5 * math.erfc(-(zb * half)) - 0.5 * math.erfc(-(za * half)))
+    return np.array(out)
+
+
+# edges from the kernel centre for an N = 800 spline matrix at L = 20, a = 0.005,
+# and the signed zeros and +-1e-300 around the centre
+_MOMENT_SIGMA = np.sqrt(2.0 * 0.005)
+_LATTICE = np.arange(-801, 803) * (20.0 / 800)
+_SIGNED_EDGES = np.array([-60.0, -1e-300, -0.0, 0.0, 1e-300, 60.0]) * _MOMENT_SIGMA
 
 
 def test_interval_moments_are_one_ndtr_pair_per_edge_bit_for_bit():
-    # a frozen reference: the signed edges, +-0 and +-1e-300 included,
-    # give the bits of the per-edge closed forms
-    dx, sigma = 20.0 / 800, np.sqrt(2.0 * 0.005)
-    lattice = np.arange(-801, 803) * dx
-    for edges in (lattice, np.concatenate([lattice, np.arange(-1, 1602) * dx]),
-                  1.5 + lattice, np.array([-60.0, -1e-300, -0.0, 0.0, 1e-300, 60.0]) * sigma):
+    # I_0 against a per-edge math.erfc loop: each tail from one libm call
+    for edges in (_LATTICE, np.concatenate([_LATTICE, np.arange(-1, 1602) * (20.0 / 800)]),
+                  1.5 + _LATTICE, _SIGNED_EDGES):
+        got = _interval_moments(_MOMENT_SIGMA, edges)[0]
+        assert np.array_equal(_bits(got), _bits(_i0_per_edge(_MOMENT_SIGMA, edges)))
+
+
+def test_interval_moments_match_mpmath_at_40_digits():
+    # Forward error of the closed forms, with u = 2^-52 and z = max(|a|, |b|) / sigma:
+    # - a tail erfc(x) / 2 at x = (e / sigma) sqrt(1/2) (three roundings) takes
+    #   libm's 5 ulp and erfc's condition number, at most z^2 + 1, times them;
+    # - pdf(e) takes numpy's 1 ulp exp and the exponent's z^2 / 2 condition
+    #   number times its three roundings, and three more for its prefactor;
+    # - each moment adds a few roundings of its own sums and products.
+    # So |got - exact| <= (2 z^2 + 16) u S_k, where S_k sums the magnitudes of
+    # the terms of moment k's closed form (I_0's tails taken on the side the
+    # interval leans away from).  Where S_k is below the smallest normal
+    # double a result has no relative accuracy, so it is not compared.
+    mp = pytest.importorskip("mpmath")
+    sigma, tiny = _MOMENT_SIGMA, np.finfo(float).tiny
+    for edges in (_LATTICE, _SIGNED_EDGES):
         got = _interval_moments(sigma, edges)
-        for mine, theirs in zip(got, _per_argument_moments(sigma, edges)):
-            assert np.array_equal(_bits(mine), _bits(theirs))
+        with mp.workdps(40):
+            s, s2 = mp.mpf(float(sigma)), mp.mpf(float(sigma)) ** 2
+            pdf = [mp.exp(-mp.mpf(e) ** 2 / (2 * s2)) / (s * mp.sqrt(2 * mp.pi)) for e in edges.tolist()]
+            # Q(e / sigma) and P(e / sigma) = Q(-e / sigma), each from its own erfc
+            upper = [mp.erfc(mp.mpf(e) / (s * mp.sqrt(2))) / 2 for e in edges.tolist()]
+            lower = [mp.erfc(-mp.mpf(e) / (s * mp.sqrt(2))) / 2 for e in edges.tolist()]
+            for j, (a, b) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+                pa, pb, a_, b_ = pdf[j], pdf[j + 1], mp.mpf(a), mp.mpf(b)
+                ta, tb = (upper[j], upper[j + 1]) if a + b > 0 else (lower[j + 1], lower[j])
+                i0, i1 = ta - tb, s2 * (pa - pb)
+                exact = [i0, i1, s2 * i0 + s2 * (a_ * pa - b_ * pb),
+                         s2 * (a_ * a_ * pa - b_ * b_ * pb) + 2 * s2 * i1]
+                s0, s1 = abs(ta) + abs(tb), s2 * (pa + pb)
+                scale = [s0, s1, s2 * s0 + s2 * (abs(a_) * pa + abs(b_) * pb),
+                         s2 * (a_ * a_ * pa + b_ * b_ * pb) + 2 * s2 * s1]
+                z = max(abs(a), abs(b)) / float(sigma)
+                for k in range(4):
+                    if scale[k] < tiny:
+                        continue
+                    err = abs(mp.mpf(float(got[k][j])) - exact[k])
+                    assert err <= (2 * z * z + 16) * 2.0 ** -52 * scale[k], (k, a, b)
 
 
 def _bits(x) -> np.ndarray:
