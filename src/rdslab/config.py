@@ -5,7 +5,8 @@ a comment; every key is either required or has a documented default; keys
 not in the experiment's schema are rejected.  All structural parameter
 conditions an experiment depends on are validated here, before any
 compute, so a bad configuration fails fast with the offending key or
-condition named.
+condition named: the keys here, then the model conditions and every
+lattice, window and size decision of the run by the experiment's run plan.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConditionViolatedError, ParameterError, integer, nonnegative, positive
-from .grid import Grid, lattice_steps, make_grid
+from .errors import ParameterError, integer, nonnegative, positive
+from .experiments import plan_experiment
+from .grid import Grid, make_grid
 from .model import ModelParams, Nonlinearity
 from .noise import NoiseProfiles
-from .solver import contraction_interval
 
 __all__ = ["ExperimentSpec", "parse_config", "EXPERIMENTS", "config_template"]
 
@@ -124,53 +125,15 @@ class ExperimentSpec:
         )
 
 
-def _validate_conditions(spec: ExperimentSpec, params: ModelParams | None) -> None:
-    """Experiment-specific structural requirements, checked pre-compute;
-    ``params`` is the spec's model, None for an experiment without one."""
-    name = spec.experiment
-    if name == "fixed-point":
-        # the contraction condition asks for tau < 1 and names tau
-        if not params.contraction_condition:
-            raise ConditionViolatedError(
-                "fixed-point contraction gate failed: " + params.describe_conditions()
-            )
-        # pullback depths 1, 2, ..., horizon: fixed_point_estimate's check at step 1
-        lattice_steps(spec["horizon"], 1.0, "horizon", minimum=3)
-    elif name == "absorbing":
-        if not params.absorbing_condition:
-            raise ConditionViolatedError(
-                "absorbing-ball condition failed: " + params.describe_conditions()
-            )
-    elif name == "picard-contraction":
-        horizon = contraction_interval(params)
-        if horizon is None:
-            raise ConditionViolatedError(
-                "picard-contraction needs eps*lipschitz > mu so the contraction "
-                f"horizon is finite; got eps*lipschitz = {params.feedback_lipschitz} "
-                f"<= mu = {params.mu}"
-            )
-        if spec["dt"] >= spec["horizon_fraction"] * horizon:
-            raise ParameterError(
-                f"dt = {spec['dt']} must be below the tested horizon "
-                f"{spec['horizon_fraction'] * horizon:.6g}"
-            )
-    if name in ("picard-contraction", "cocycle", "absorbing", "fixed-point", "convergence-study"):
-        lattice_steps(spec["tau"], spec["dt"], "tau (in steps of dt)")
-    if name == "convergence-study":
-        half = spec["dt"] / 2.0
-        lattice_steps(spec["tau"], half, "tau (in steps of dt/2)")
-        for label, step in (("dt", spec["dt"]), ("dt/2", half)):
-            lattice_steps(step, spec["dt_ref"], f"{label} (in steps of dt_ref)", minimum=2)
-
-
 def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
     """Parse and validate a flat key = value configuration.
 
     A given ``seed`` replaces the file's seed, which the file must still
     name, and is validated with the other values.  Raises ParameterError
     naming the offending key for unknown, missing, duplicated, or
-    malformed entries, and ConditionViolatedError when the chosen
-    experiment's structural parameter conditions fail.
+    malformed entries and for a run plan that fails, and
+    ConditionViolatedError when the chosen experiment's structural
+    parameter conditions fail.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -217,18 +180,10 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
 
     spec = ExperimentSpec(name, values)
     _validate_ranges(values)
-    # full object-level validation, errors name fields
-    params = spec.model_params() if "tau" in values else None
-    _validate_conditions(spec, params)
+    plan_experiment(spec)  # the model's objects, conditions, lattices and sizes
     return spec
 
 
-# Most steps in the OU window, 40 / (mu * step) at the finest time step,
-# and in the window plus the horizon, (40 / mu + horizon) / step: the
-# defaults need at most 8,000 and 8,200; a record this long takes 8 MB a path.
-_MAX_WINDOW_STEPS = 10**6
-# The keys whose sum is a run's horizon: cocycle runs t + s, the others name one.
-_HORIZONS = ("horizon", "t_max", "t", "s")
 # Most cells N.  The solver and the kernel assemble dense (N + 1)^2
 # operator matrices of 8-byte entries, and an assembly holds several at
 # once; at most 128 MiB a matrix caps N at 4,095, five times the largest
@@ -241,18 +196,6 @@ def _validate_ranges(values: dict) -> None:
     if "N" in values and values["N"] > _MAX_CELLS:
         raise ParameterError(f"N = {values['N']} exceeds {_MAX_CELLS}: each dense (N + 1)^2 "
                              f"operator matrix would take more than {_MAX_MATRIX_BYTES >> 20} MiB")
-    steps = [key for key in ("dt_path", "dt", "dt_ref") if key in values]
-    if "mu" in values and steps:
-        key = min(steps, key=values.get)
-        if not values["mu"] * values[key] * _MAX_WINDOW_STEPS >= 40.0:
-            raise ParameterError(f"mu = {values['mu']} and {key} = {values[key]} need an OU "
-                                 f"window of 40 / (mu * {key}) > {_MAX_WINDOW_STEPS} steps")
-        spans = [k for k in _HORIZONS if k in values]
-        record = 40.0 / values["mu"] + sum(values[k] for k in spans)
-        if spans and record / values[key] > _MAX_WINDOW_STEPS:
-            named = ", ".join(f"{k} = {values[k]}" for k in spans)
-            raise ParameterError(f"{named} and {key} = {values[key]} make a record of "
-                                 f"(40 / mu + {' + '.join(spans)}) / {key} > {_MAX_WINDOW_STEPS} steps")
     frac = values.get("horizon_fraction", 1.0)
     if frac > 1.0:
         raise ParameterError(f"key 'horizon_fraction' must be at most 1, got {frac}")

@@ -1,11 +1,14 @@
 """Experiment runners: seeded Monte Carlo checks with CSV reports.
 
-Each runner takes a validated ExperimentSpec and returns an
-ExperimentResult holding the CSV rows (fixed order, 17-significant-digit
-rendering, so identical spec + seed gives byte-identical output) and a
-list of named checks, one per asserted invariant.  A check is a
-measured number and the closed interval it must lie in; its verdict and
-its text are both derived from those numbers.
+Each experiment is a plan and a compute part.  The plan, arithmetic on an
+ExperimentSpec that ``parse_config`` runs, checks the model conditions and
+makes every lattice decision, path window and size cap of the run by the
+rules the library applies at run time.  The compute part reads the plan's
+numbers and returns an ExperimentResult holding the CSV rows (fixed
+order, 17-significant-digit rendering, so identical spec + seed gives
+byte-identical output) and a list of named checks, one per asserted
+invariant.  A check is a measured number and the closed interval it must
+lie in; its verdict and its text are both derived from those numbers.
 
 Monte Carlo samples carry their own derived seeds (base seed + sample
 index), so each sample's output does not depend on the order in which
@@ -14,13 +17,13 @@ the samples are computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentSpec
-from .errors import ParameterError
-from .grid import Field, Segment, segment_co_norm, sup_norm
+from .errors import ConditionViolatedError, ParameterError, integer
+from .grid import Field, Segment, lattice_steps, segment_co_norm, sup_norm
 from .kernel import DispersalKernel, tail_mass
 from .noise import (
     OUParams,
@@ -29,6 +32,7 @@ from .noise import (
     sample_wiener,
     sde_residual,
     temperedness_diagnostic,
+    window_steps,
     zero_wiener,
 )
 from .pullback import (
@@ -44,7 +48,11 @@ from .quadrature import erf
 from .semigroup import DirichletHeatSemigroup
 from .solver import PICARD_TOL, DelaySolver, SolverConfig, contraction_interval, picard_gain
 
-__all__ = ["CheckResult", "ExperimentResult", "run_experiment", "SEMIGROUP_TIMES", "SEMIGROUP_RATES"]
+if TYPE_CHECKING:
+    from .config import ExperimentSpec
+
+__all__ = ["CheckResult", "ExperimentResult", "RunPlan", "plan_experiment", "run_experiment",
+           "SEMIGROUP_TIMES", "SEMIGROUP_RATES"]
 
 SEMIGROUP_TIMES = (1e-3, 0.1, 0.5, 1.0, 5.0)
 SEMIGROUP_RATES = (0.5, 1.0, 2.0)
@@ -119,11 +127,65 @@ def _format_cell(cell) -> str:
     return "%.17g" % cell
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """A run's decisions, made from its spec by arithmetic alone: the windows,
+    depths and steps its compute part reads, and its work in trajectory-steps
+    (a bound on picard-contraction's sweeps), random draws and matrix assemblies."""
+
+    windows: dict = field(default_factory=dict)
+    steps: int = 0
+    samples: int = 0
+    assemblies: int = 0
+
+    def __getitem__(self, key: str):
+        return self.windows[key]
+
+
+# A path record holds at most 10^6 samples, m rows of lattice steps (8 MB),
+# over a hundred times the defaults' longest (cocycle, 8,620).  A run plans
+# at most 10^9 trajectory-steps, random draws or matrix assemblies: fifty
+# times the defaults' largest count, ou-stats' 2.0e7 draws (0.7 s on a 2-core Xeon).
+_MAX_RECORD, _MAX_WORK = 10**6, 10**9
+_DRAWS, _STEPS = "make {} random draws", "make {} trajectory-steps"
+
+
+def _capped(spec: ExperimentSpec, keys: tuple, count, what: str, cap: int = _MAX_WORK):
+    """``count``, if at most ``cap``; else a ParameterError naming the keys that set it."""
+    if count <= cap:
+        return count
+    *head, last = (f"{key} = {spec[key]}" for key in keys)
+    named = f"{', '.join(head)} and {last}" if head else last
+    raise ParameterError(f"{named} {what.format(count)}, more than {cap}")
+
+
+def _s_cut(spec: ExperimentSpec, key: str, step: float) -> float:
+    """default_s_cut(mu, step), once its OU window of 40 / (mu step) steps fits a record."""
+    _capped(spec, ("mu", key), 40.0 / spec["mu"] / step, "need an OU window of {:.6g} steps",
+            _MAX_RECORD)
+    return default_s_cut(spec["mu"], step)
+
+
+def _record(spec: ExperimentSpec, keys: tuple, m: int, window: tuple, step: float) -> int:
+    """Draws of one m-row path on the window, by the sampler's window rule, within the cap."""
+    draws = m * sum(window_steps(m, *window, step))
+    return _capped(spec, keys, draws, "make a record of {} samples", _MAX_RECORD)
+
+
+def _delay_steps(tau: float, dt: float) -> int:
+    return lattice_steps(tau, dt, "tau (in steps of dt)", minimum=1)  # DelaySolver's rule
+
+
 # ----------------------------------------------------------------------
-# individual experiments
+# individual experiments: each plan, then its compute part
 # ----------------------------------------------------------------------
 
-def _run_kernel_bound(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_kernel_bound(spec: ExperimentSpec) -> RunPlan:
+    draws = _capped(spec, ("trials", "N"), spec["trials"] * (spec["N"] + 1), _DRAWS)
+    return RunPlan(samples=draws, assemblies=1)
+
+
+def _run_kernel_bound(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """Dispersal operator never amplifies the sup norm; unit input maps
     to the error-function profile away from the artificial right edge."""
     grid = spec.grid()
@@ -180,7 +242,14 @@ def _smooth_random_field(grid, rng) -> Field:
     return Field(grid, values)
 
 
-def _run_semigroup_bounds(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_semigroup_bounds(spec: ExperimentSpec) -> RunPlan:
+    integer("key 'N'", spec["N"], 2)  # check_bounds' rule
+    # 12 uniform draws a field; three linear propagators a (rate, time) flow
+    draws = _capped(spec, ("fields",), 12 * spec["fields"], _DRAWS)
+    return RunPlan(samples=draws, assemblies=3 * len(SEMIGROUP_RATES) * len(SEMIGROUP_TIMES))
+
+
+def _run_semigroup_bounds(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """The four decay/smoothing inequalities of the killed heat flow."""
     grid = spec.grid()
     n_fields = spec["fields"]
@@ -217,14 +286,25 @@ def _run_semigroup_bounds(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec.experiment, header, tuple(rows), checks)
 
 
-def _run_ou_stats(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_ou_stats(spec: ExperimentSpec) -> RunPlan:
+    dt, keys = spec["dt_path"], ("mu", "dt_path")
+    s_cut = _s_cut(spec, "dt_path", dt)
+    window, probe = (-s_cut, 0.0), (-s_cut - 6.0, 6.0)
+    draws = spec["paths"] * _record(spec, keys, 1, window, dt) + _record(spec, keys, 1, probe, dt)
+    shifts, sde = np.arange(1, 7) * 1.0, (-5.0, 0.0)
+    lattice_steps(shifts, dt, "time", minimum=None)  # the probe's shifts
+    lattice_steps(sde[0], dt, "t0", minimum=None)  # sde_residual's interval
+    return RunPlan(dict(s_cut=s_cut, window=window, probe=probe, shifts=shifts, sde=sde),
+                   samples=_capped(spec, ("paths", *keys), draws, _DRAWS))
+
+
+def _run_ou_stats(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """Stationary noise statistics: variance, mean, shift identity, and
     the integrated-equation residual."""
     mu = spec["mu"]
     dt_path = spec["dt_path"]
     n_paths = spec["paths"]
-    s_cut = default_s_cut(mu, dt_path)
-    p = OUParams(mu, s_cut)
+    p = OUParams(mu, plan["s_cut"])
 
     def z(path, t: float = 0.0) -> np.ndarray:
         # a one-element list, not a scalar: perfbench's trace hook takes len(times)
@@ -234,19 +314,18 @@ def _run_ou_stats(spec: ExperimentSpec) -> ExperimentResult:
     rows = []
     for lo in range(0, n_paths, 16):
         seeds = range(spec["seed"] + lo, spec["seed"] + min(lo + 16, n_paths))
-        rows += enumerate(z(sample_wiener(1, -s_cut, 0.0, dt_path, seeds)).tolist(), lo)
+        rows += enumerate(z(sample_wiener(1, *plan["window"], dt_path, seeds)).tolist(), lo)
     samples = np.array([row[1] for row in rows])
     var = float(np.var(samples))
     target = 1.0 / (2.0 * mu)
     mean = float(np.mean(samples))
     sem = float(np.std(samples) / np.sqrt(n_paths))
 
-    probe = sample_wiener(1, -s_cut - 6.0, 6.0, dt_path, spec["seed"] + n_paths)
-    shifts = np.arange(1, 7) * 1.0
+    probe = sample_wiener(1, *plan["probe"], dt_path, spec["seed"] + n_paths)
     shift_gap = max(
-        abs(z(probe, t) - z(probe.shift(t))).item() for t in shifts
+        abs(z(probe, t) - z(probe.shift(t))).item() for t in plan["shifts"]
     )
-    residual = sde_residual(probe, p, -5.0, 0.0)
+    residual = sde_residual(probe, p, *plan["sde"])
 
     checks = (
         CheckResult("ou-variance", abs(var - target), -np.inf, 0.05 * target,
@@ -261,7 +340,17 @@ def _run_ou_stats(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec.experiment, ("path", "z0"), tuple(rows), checks)
 
 
-def _run_temperedness(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_temperedness(spec: ExperimentSpec) -> RunPlan:
+    horizon, dt = spec["horizon"], spec["dt_path"]
+    s_cut = _s_cut(spec, "dt_path", dt)
+    window = (-horizon - s_cut, 0.0)
+    draws = spec["paths"] * _record(spec, ("m", "horizon", "dt_path"), spec["m"], window, dt)
+    lattice_steps(horizon, dt, "horizon")  # temperedness_diagnostic's series
+    return RunPlan(dict(s_cut=s_cut, window=window),
+                   samples=_capped(spec, ("paths", "m", "horizon", "dt_path"), draws, _DRAWS))
+
+
+def _run_temperedness(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """Sub-exponential growth of the squared noise amplitude along the
     time shift, plus the per-path empirical decay constant."""
     mu = spec["mu"]
@@ -270,11 +359,10 @@ def _run_temperedness(spec: ExperimentSpec) -> ExperimentResult:
     dt_path = spec["dt_path"]
     n_paths = spec["paths"]
     m = spec["m"]
-    s_cut = default_s_cut(mu, dt_path)
-    p = OUParams(mu, s_cut)
+    p = OUParams(mu, plan["s_cut"])
 
     def one(i: int) -> tuple:
-        path = sample_wiener(m, -horizon - s_cut, 0.0, dt_path, spec["seed"] + i)
+        path = sample_wiener(m, *plan["window"], dt_path, spec["seed"] + i)
         _, diag, r_hat = temperedness_diagnostic(path, p, beta, horizon)
         return (i, r_hat, float(diag[-1]))
 
@@ -307,19 +395,40 @@ def _initial_segment(grid, tau: float, dt: float, which: int = 0) -> Segment:
     return Segment.from_function(grid, tau, dt, shapes[which % len(shapes)])
 
 
-def _run_picard_contraction(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_picard_contraction(spec: ExperimentSpec) -> RunPlan:
+    params, dt = spec.model_params(), spec["dt"]
+    t_star = contraction_interval(params)
+    if t_star is None:
+        raise ConditionViolatedError(
+            "picard-contraction needs eps*lipschitz > mu so the contraction "
+            f"horizon is finite; got eps*lipschitz = {params.feedback_lipschitz} "
+            f"<= mu = {params.mu}"
+        )
+    if dt >= spec["horizon_fraction"] * t_star:
+        raise ParameterError(f"dt = {dt} must be below the tested horizon "
+                             f"{spec['horizon_fraction'] * t_star:.6g}")
+    m = _delay_steps(params.tau, dt)
+    span = spec["horizon_fraction"] * t_star / dt  # inf or NaN where eps * lipschitz overflows
+    steps = int(np.floor(_capped(spec, ("mu", "epsilon", "lipschitz", "dt"), span,
+                                 "make a contraction horizon of {:.6g} steps", _MAX_RECORD)))
+    horizon = steps * dt
+    window = (-_s_cut(spec, "dt", dt) - params.tau, horizon)
+    draws = _record(spec, ("mu", "dt"), params.m, window, dt)
+    # at most ceil(steps / m) + 1 Picard sweeps, then the method-of-steps run
+    sweeps = -(-steps // m) + 1
+    return RunPlan(dict(horizon=horizon, window=window), steps=(sweeps + 1) * steps,
+                   samples=draws, assemblies=6)
+
+
+def _run_picard_contraction(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """Per-sweep contraction of the mild-solution fixed-point map on a
     horizon inside the contraction window."""
     grid = spec.grid()
     params = spec.model_params()
-    t_star = contraction_interval(params)
     dt = spec["dt"]
-    steps = int(np.floor(spec["horizon_fraction"] * t_star / dt))
-    horizon = steps * dt
+    horizon = plan["horizon"]
     solver = DelaySolver(grid, params, SolverConfig(dt, mode="picard"))
-    path = sample_wiener(
-        params.m, -solver.ou_params.s_cut - params.tau, horizon, dt, spec["seed"]
-    )
+    path = sample_wiener(params.m, *plan["window"], dt, spec["seed"])
     psi = _initial_segment(grid, params.tau, dt, 0)
     traj, report = solver.picard_solve(psi, path, horizon)
 
@@ -343,17 +452,30 @@ def _run_picard_contraction(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
-def _run_cocycle(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_cocycle(spec: ExperimentSpec) -> RunPlan:
+    params, t, s = spec.model_params(), spec["t"], spec["s"]
+    dts = (spec["dt"], spec["dt"] / 2.0)
+    for dt in dts:
+        _delay_steps(params.tau, dt)
+    window = (-(_s_cut(spec, "dt", dts[1]) + params.tau + 1.0), t + s)
+    draws = _record(spec, ("t", "s", "dt"), params.m, window, dts[1])
+    steps = 0
+    for dt in dts:  # cocycle_residual's t and s; a leg it solves takes a step at least
+        n = [lattice_steps(v, dt, k, minimum=int(v > 0)) for k, v in (("t", t), ("s", s))]
+        steps += sum(n) * (2 if all(n) else 1)
+    return RunPlan(dict(dts=dts, window=window), steps=steps, samples=draws, assemblies=6)
+
+
+def _run_cocycle(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """Two-leg vs one-leg propagation residual, at dt and dt/2, beside the
     sup norm of the one-leg run's terminal frame."""
     grid = spec.grid()
     params = spec.model_params()
     t, s = spec["t"], spec["s"]
-    dt_fine = spec["dt"] / 2.0
-    window_lo = -(default_s_cut(params.mu, dt_fine) + params.tau + 1.0)
-    path = sample_wiener(params.m, window_lo, t + s, dt_fine, spec["seed"])
+    dts = plan["dts"]
+    path = sample_wiener(params.m, *plan["window"], dts[1], spec["seed"])
     rows = []
-    for dt in (spec["dt"], dt_fine):
+    for dt in dts:
         solver = DelaySolver(grid, params, SolverConfig(dt))
         psi = _initial_segment(grid, params.tau, dt, 1)
         rows.append((dt, *cocycle_residual(solver, psi, path, t, s)))
@@ -367,7 +489,26 @@ def _run_cocycle(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec.experiment, ("dt", "residual", "direct_sup"), tuple(rows), checks)
 
 
-def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_absorbing(spec: ExperimentSpec) -> RunPlan:
+    params, dt, t_max = spec.model_params(), spec["dt"], spec["t_max"]
+    if not params.absorbing_condition:
+        raise ConditionViolatedError("absorbing-ball condition failed: "
+                                     + params.describe_conditions())
+    m = _delay_steps(params.tau, dt)
+    n_times = 5
+    times = [t_max * (k + 1) / n_times for k in range(n_times)]
+    window = (-(t_max + params.tau + _s_cut(spec, "dt", dt) + 1.0), 0.0)
+    draws = spec["paths"] * _record(spec, ("t_max", "dt"), params.m, window, dt)
+    decay_lo = -(t_max + params.tau)
+    lattice_steps(decay_lo, dt, "t_lo", minimum=None)  # derived_constants' window
+    depths = lattice_steps(times, dt, "pullback time t", minimum=m + 1)
+    runs = spec["paths"] * spec["segments"] * int(depths.sum())
+    return RunPlan(dict(times=times, window=window, decay_lo=decay_lo),
+                   steps=_capped(spec, ("paths", "segments", "t_max", "dt"), runs, _STEPS),
+                   samples=_capped(spec, ("paths", "t_max", "dt"), draws, _DRAWS), assemblies=3)
+
+
+def _run_absorbing(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """Pullback runs enter the computed absorbing ball and stay inside.
 
     The slack constant is measured honestly: only pre-entry (transient)
@@ -380,13 +521,10 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.model_params()
     dt = spec["dt"]
     solver = DelaySolver(grid, params, SolverConfig(dt))
-    t_max = spec["t_max"]
-    n_times = 5
-    times = [t_max * (k + 1) / n_times for k in range(n_times)]
+    times = plan["times"]
     n_paths = spec["paths"]
     n_segments = spec["segments"]
     co_targets = [spec["co_max"] * (j + 1) / n_segments for j in range(n_segments)]
-    window_lo = -(t_max + params.tau + solver.ou_params.s_cut + 1.0)
 
     segments = []
     for j, target in enumerate(co_targets):
@@ -395,10 +533,10 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
         segments.append(Segment(grid, params.tau, dt, base.values * scale))
 
     def one_path(i: int) -> tuple:
-        path = sample_wiener(params.m, window_lo, 0.0, dt, spec["seed"] + i)
+        path = sample_wiener(params.m, *plan["window"], dt, spec["seed"] + i)
         # The decay constant is measured over exactly the span of noise
         # the pullback runs consume.
-        consts = derived_constants(params, grid, path, -(t_max + params.tau))
+        consts = derived_constants(params, grid, path, plan["decay_lo"])
         radius = absorbing_radius(params, consts)
         path_rows = []
         worst_post = transient_excess = 0.0
@@ -443,19 +581,34 @@ def _run_absorbing(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec.experiment, header, tuple(rows), checks)
 
 
-def _run_fixed_point(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_fixed_point(spec: ExperimentSpec) -> RunPlan:
+    params, dt, horizon = spec.model_params(), spec["dt"], spec["horizon"]
+    if not params.contraction_condition:  # it asks for tau < 1 and names tau
+        raise ConditionViolatedError("fixed-point contraction gate failed: "
+                                     + params.describe_conditions())
+    m = _delay_steps(params.tau, dt)
+    window = (-(horizon + params.tau + _s_cut(spec, "dt", dt) + 2.0), 1.0)
+    draws = _record(spec, ("horizon", "dt"), params.m, window, dt)
+    # fixed_point_estimate's unit step and depths 1, 2, ..., horizon: a pair
+    # at each depth, then one run to depth horizon - 1 and one unit advance
+    unit = lattice_steps(1.0, dt, "step", minimum=m + 1)
+    depths = lattice_steps(horizon, 1.0, "horizon", minimum=3)
+    lattice_steps(np.arange(1.0, depths + 1.0), dt, "pullback time t", minimum=m + 1)
+    steps = _capped(spec, ("horizon", "dt"), unit * depths * (depths + 2), _STEPS)
+    return RunPlan(dict(window=window), steps=steps, samples=draws, assemblies=3)
+
+
+def _run_fixed_point(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """Exponentially attracting random fixed point under the strong
     damping condition: contraction rate, limit, and stationarity."""
     grid = spec.grid()
     params = spec.model_params()
     dt = spec["dt"]
     solver = DelaySolver(grid, params, SolverConfig(dt))
-    horizon = spec["horizon"]
-    window_lo = -(horizon + params.tau + solver.ou_params.s_cut + 2.0)
-    path = sample_wiener(params.m, window_lo, 1.0, dt, spec["seed"])
+    path = sample_wiener(params.m, *plan["window"], dt, spec["seed"])
     phi1 = _initial_segment(grid, params.tau, dt, 0)
     phi2 = _initial_segment(grid, params.tau, dt, 1)
-    report = fixed_point_estimate(solver, phi1, phi2, path, horizon)
+    report = fixed_point_estimate(solver, phi1, phi2, path, spec["horizon"])
 
     bound = params.unit_contraction_factor
     succ = (0.0,) + report.successive_distances
@@ -479,16 +632,32 @@ def _run_fixed_point(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
-def _run_convergence_study(spec: ExperimentSpec) -> ExperimentResult:
+def _plan_convergence_study(spec: ExperimentSpec) -> RunPlan:
+    params, horizon, dt_ref = spec.model_params(), spec["horizon"], spec["dt_ref"]
+    dts = (spec["dt"], spec["dt"] / 2.0, dt_ref)
+    ms = [_delay_steps(params.tau, dt) for dt in dts]
+    for label, dt in zip(("dt", "dt/2"), dts):
+        lattice_steps(dt, dt_ref, f"{label} (in steps of dt_ref)", minimum=2)
+    # the widest OU window of the three solvers: the reference's wherever the others fit in it
+    window = (-(max(_s_cut(spec, "dt_ref", dt) for dt in dts[::-1]) + params.tau), horizon)
+    _record(spec, ("horizon", "dt_ref"), params.m, window, dt_ref)
+    steps = 0
+    for dt, m in zip(dts, ms):  # a solver reads the path at its frame times -tau .. horizon
+        n = lattice_steps(horizon, dt, "horizon", minimum=1)
+        lattice_steps(dt * (np.arange(m + n + 1) - m), dt_ref, "time", minimum=None)
+        steps += n
+    return RunPlan(dict(dts=dts, window=window), steps=steps, assemblies=9)
+
+
+def _run_convergence_study(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     """First-order accuracy in dt of the time stepping, against a fine
     reference run with the noise switched off (deterministic dynamics,
     nonzero feedback)."""
     grid = spec.grid()
     params = spec.model_params()
     horizon = spec["horizon"]
-    dt_ref = spec["dt_ref"]
-    dts = (spec["dt"], spec["dt"] / 2.0, dt_ref)
-    path = zero_wiener(params.m, -(default_s_cut(params.mu, dt_ref) + params.tau), horizon, dt_ref)
+    dts = plan["dts"]
+    path = zero_wiener(params.m, *plan["window"], dts[-1])
     psi_fn = lambda xi, x: x * np.exp(-x) * (1.0 + 0.5 * np.sin(3.0 * xi))
     terminals = []
     for dt in dts:
@@ -506,22 +675,30 @@ def _run_convergence_study(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec.experiment, ("dt", "sup_error"), tuple(rows), checks)
 
 
+# Experiment name -> (plan, compute part).
 _RUNNERS = {
-    "kernel-bound": _run_kernel_bound,
-    "semigroup-bounds": _run_semigroup_bounds,
-    "ou-stats": _run_ou_stats,
-    "temperedness": _run_temperedness,
-    "picard-contraction": _run_picard_contraction,
-    "cocycle": _run_cocycle,
-    "absorbing": _run_absorbing,
-    "fixed-point": _run_fixed_point,
-    "convergence-study": _run_convergence_study,
+    "kernel-bound": (_plan_kernel_bound, _run_kernel_bound),
+    "semigroup-bounds": (_plan_semigroup_bounds, _run_semigroup_bounds),
+    "ou-stats": (_plan_ou_stats, _run_ou_stats),
+    "temperedness": (_plan_temperedness, _run_temperedness),
+    "picard-contraction": (_plan_picard_contraction, _run_picard_contraction),
+    "cocycle": (_plan_cocycle, _run_cocycle),
+    "absorbing": (_plan_absorbing, _run_absorbing),
+    "fixed-point": (_plan_fixed_point, _run_fixed_point),
+    "convergence-study": (_plan_convergence_study, _run_convergence_study),
 }
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run the named experiment."""
-    runner = _RUNNERS.get(spec.experiment)
-    if runner is None:
+def plan_experiment(spec: ExperimentSpec) -> RunPlan:
+    """The named experiment's run plan: ConditionViolatedError for a failed
+    parameter condition; ParameterError for a window, depth or step off its
+    lattice, a record or a work count over its cap, or an unknown name."""
+    if spec.experiment not in _RUNNERS:
         raise ParameterError(f"unknown experiment {spec.experiment!r}")
-    return runner(spec)
+    return _RUNNERS[spec.experiment][0](spec)
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run the named experiment by its plan."""
+    plan = plan_experiment(spec)
+    return _RUNNERS[spec.experiment][1](spec, plan)

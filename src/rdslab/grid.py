@@ -58,7 +58,8 @@ def lattice_steps(span, step: float, what: str, minimum: int | None = 0):
     """
     positive(f"{what}: lattice step", step)
     x = float_array(what, span)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+    # an overflowing span / step is inf, and inf - inf is NaN: both fail the test
+    with np.errstate(over="ignore", invalid="ignore"):
         k = x / step
         n = np.rint(k)
         on = np.abs(k - n) <= _LATTICE_TOL
@@ -92,7 +93,13 @@ class Grid:
     nodes: np.ndarray = field(repr=False, compare=False)  # fixed by length and n_cells
 
     def __post_init__(self) -> None:
-        self.nodes.setflags(write=False)
+        positive("length", self.length)
+        integer("n_cells", self.n_cells, 1)
+        positive("dx", self.dx)
+        nodes = self.nodes  # frozen in place below, so it takes no other kind
+        if float_array("nodes", nodes) is not nodes or nodes.shape != (self.n_cells + 1,):
+            raise ParameterError(f"nodes must be a float array of N + 1 values, got {nodes!r}")
+        nodes.setflags(write=False)
 
 
 def make_grid(length: float, n_cells: int) -> Grid:

@@ -45,6 +45,7 @@ __all__ = [
     "WienerPath",
     "sample_wiener",
     "zero_wiener",
+    "window_steps",
     "OUParams",
     "default_s_cut",
     "ou_series",
@@ -125,8 +126,8 @@ class WienerPath:
         return self.base_values - self.base_values[:, self.origin][:, None]
 
 
-def _window_steps(m: int, t_lo: float, t_hi: float, dt_path: float) -> tuple[int, int]:
-    """Lattice steps (backward, forward) of the window [t_lo, t_hi], validated."""
+def window_steps(m: int, t_lo: float, t_hi: float, dt_path: float) -> tuple[int, int]:
+    """Lattice steps (backward, forward) of the window [t_lo, t_hi]: the sampler's window rule."""
     integer("m", m, 1)
     positive("dt_path", dt_path)
     n_neg = -lattice_steps(t_lo, dt_path, "t_lo", minimum=None)
@@ -150,7 +151,7 @@ def sample_wiener(
     i of a sequence owns rows i*m ... i*m + m - 1 of one path, with the
     bits of a lone call.
     """
-    n_neg, n_pos = _window_steps(m, t_lo, t_hi, dt_path)
+    n_neg, n_pos = window_steps(m, t_lo, t_hi, dt_path)
     members = seeds(seed)
     fwd, bwd = np.empty((len(members) * m, n_pos)), np.empty((len(members) * m, n_neg))
     for i, rng in enumerate(map(np.random.default_rng, members)):
@@ -169,7 +170,7 @@ def zero_wiener(m: int, t_lo: float, t_hi: float, dt_path: float) -> WienerPath:
 
     The window obeys the same rules as for :func:`sample_wiener`.
     """
-    n_neg, n_pos = _window_steps(m, t_lo, t_hi, dt_path)
+    n_neg, n_pos = window_steps(m, t_lo, t_hi, dt_path)
     return WienerPath(np.zeros((int(m), n_neg + n_pos + 1)), n_neg, dt_path)
 
 
@@ -181,7 +182,8 @@ class OUParams:
     s_cut: float
 
     def __post_init__(self) -> None:
-        if positive("mu", self.mu) * positive("s_cut", self.s_cut) < 40.0 - 1e-9:
+        # default_s_cut may fall short of 40 / mu by 1e-9 of a step, so by 1e-9 of 40 at most
+        if positive("mu", self.mu) * positive("s_cut", self.s_cut) < 40.0 * (1.0 - 1e-9):
             raise ParameterError(
                 f"mu * s_cut = {self.mu * self.s_cut:g} < 40; truncation tail not negligible"
             )

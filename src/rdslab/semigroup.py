@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import positive
+from .errors import integer, positive
 from .grid import Field, Grid, sup_norm
 from .quadrature import flush_subnormal, operator_matrix
 
@@ -84,6 +84,7 @@ class DirichletHeatSemigroup:
         relative step 1e-3); the caller chooses the slack.
         """
         positive("bounds check time t", t)
+        integer("bounds check cells N", self.grid.n_cells, 2)  # a second difference takes 3 nodes
         dx = self.grid.dx
         norm_f = sup_norm(f)
         decay = np.exp(-self.mu * t)

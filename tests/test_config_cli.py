@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -278,6 +279,79 @@ def test_cell_cap_is_the_largest_n_whose_matrix_fits(tmp_path, capsys):
     cfg = _write(tmp_path, "n.cfg", "experiment = convergence-study\nseed = 1\nN = 4096\n")
     assert main(["validate", "--config", cfg]) == 2
     assert "N = 4096 exceeds 4095" in capsys.readouterr().err
+
+
+def test_work_cap_is_the_largest_count_a_run_may_plan():
+    # N = 999 makes 1,000 draws a trial, so 10^6 trials are the cap's 10^9 draws
+    text = "experiment = kernel-bound\nseed = 1\nN = 999\ntrials = {}\n"
+    assert parse_config(text.format(10**6))["trials"] == 10**6
+    with pytest.raises(ParameterError, match="trials = 1000001 and N = 999 make 1000001000 "
+                                             "random draws, more than 1000000000"):
+        parse_config(text.format(10**6 + 1))
+
+
+def test_record_cap_counts_the_record_the_run_samples():
+    # m = 2 rows on [-horizon - 40, 0] at dt_path = 0.1: horizon = 49,960 fills
+    # the 10^6 samples of a record, and the 1,000 default paths the 10^9 draws
+    text = "experiment = temperedness\nseed = 1\nhorizon = {}\n"
+    assert parse_config(text.format(49960))["horizon"] == 49960.0
+    with pytest.raises(ParameterError, match="m = 2, horizon = 49960.1 and dt_path = 0.1 make "
+                                             "a record of 1000002 samples, more than 1000000"):
+        parse_config(text.format(49960.1))
+
+
+# Configs (at seed 7) that validate passed and run then stopped with exit 2,
+# each with the value run named, or with a traceback (the first two), and a
+# count with no cap; validate now stops each, naming that value.
+RUN_PLAN_CONFIGS = (
+    ("experiment = semigroup-bounds\nN = 1\n", "key 'N' must be at least 2, got 1"),
+    ("experiment = picard-contraction\nlipschitz = 1.7976931348623157e308\n",
+     "make a contraction horizon of nan steps"),
+    ("experiment = cocycle\nt = 0.333\n", "t_hi 1.333 is off the lattice of step 0.005"),
+    ("experiment = absorbing\nt_max = 0.1\npaths = 1\n",
+     "pullback time t 0.02 is off the lattice of step 0.025"),
+    ("experiment = temperedness\nhorizon = 0.05\npaths = 2\n",
+     "t_lo -40.05 is off the lattice of step 0.1"),
+    ("experiment = convergence-study\nhorizon = 0.03\nN = 50\n",
+     "horizon 0.03 is off the lattice of step 0.04"),
+    # dt is 8 + 9e-10 steps of dt_ref: on its lattice, but two steps of dt are not
+    ("experiment = convergence-study\nN = 8\nmu = 1000\ntau = 0.16\ndt = 0.0400000000045\n"
+     "dt_ref = 0.005\nhorizon = 0.16\n", "time -0.160000000018 is off the lattice of step 0.005"),
+    ("experiment = ou-stats\ndt_path = 0.7\npaths = 3\n",
+     "t_lo -46.599999999999994 is off the lattice of step 0.7"),
+    ("experiment = fixed-point\ndt = 0.3\ntau = 0.6\nmu = 10\n",
+     "t_hi 1.0 is off the lattice of step 0.3"),
+    # one unit is 20 - 6e-10 steps of dt, on the lattice; two units are not
+    ("experiment = fixed-point\nN = 4\nhorizon = 3.00000000009\ndt = 0.050000000001500004\n"
+     "tau = 0.050000000030000005\n", "pullback time t 2.0 is off the lattice of step 0.05"),
+    ("experiment = kernel-bound\ntrials = 100000000000000000000\n",
+     "trials = 100000000000000000000 and N = 200 make"),
+)
+
+
+@pytest.mark.parametrize("text, message", RUN_PLAN_CONFIGS)
+def test_validate_makes_the_runs_lattice_and_size_decisions(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, "p.cfg", text + "seed = 7\n")
+    assert main(["validate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _benchmark_configs() -> list[str]:
+    # the benchmark's workload table, read as it stands
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    found = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(found)
+    found.loader.exec_module(workloads)
+    return [text for name in workloads.WORKLOADS for seed in (workloads.DEFAULT_SEED, 7)
+            for text in workloads.config_texts(name, seed)]
+
+
+def test_every_shipped_config_validates():
+    # neither a run plan nor a cap refuses a run that the lab or its benchmark makes
+    defaults = [f"experiment = {name}\nseed = {seed}\n" for name in EXPERIMENTS
+                for seed in (20260814, 7)]
+    for text in defaults + _benchmark_configs():
+        parse_config(text)
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdslab.errors import ConditionViolatedError, ParameterError
-from rdslab.grid import Field, Segment, lattice_steps, make_grid
+from rdslab.grid import Field, Grid, Segment, lattice_steps, make_grid
 from rdslab.kernel import DispersalKernel
 from rdslab.model import ModelParams, Nonlinearity
 from rdslab.noise import NoiseProfiles, OUParams, WienerPath, sample_wiener
@@ -68,6 +68,8 @@ _MALFORMED = {
     "semigroup-operator-t": (lambda: DirichletHeatSemigroup(_GRID, 1.0).operator("a"),
                              "propagator time", "a real number"),
     "make_grid-L": (lambda: make_grid("a", 10), "L", "a real number"),
+    "Grid-length": (lambda: Grid("a", 2, 0.5, np.array([0.0, 0.5, 1.0])), "length", "a real number"),
+    "Grid-nodes": (lambda: Grid(1.0, 2, 0.5, [0.0, 0.5, 1.0]), "nodes", "a float array"),
     "Field-values": (lambda: Field(_GRID, "a"), "field values", "real"),
     "Segment-tau": (lambda: Segment(_GRID, "a", 0.05, _psi().values), "tau", "a real number"),
     "Segment-values": (lambda: Segment(_GRID, 0.1, 0.05, values="a"), "segment values", "real"),

@@ -95,6 +95,8 @@ def test_ou_params_validation():
         OUParams(-1.0, 40.0)
     with pytest.raises(ParameterError, match="truncation"):
         OUParams(1.0, 10.0)  # mu * s_cut < 40 truncates too much history
+    # 40 / (mu dt) is 4 + 1.2e-10 steps, which the lattice rule takes as 4: mu s_cut = 40 - 1.2e-9
+    assert OUParams(100.0, default_s_cut(100.0, 0.099999999997)).s_cut == 4 * 0.099999999997
 
 
 def test_default_s_cut_is_lattice_aligned():

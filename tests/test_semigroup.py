@@ -91,6 +91,9 @@ def test_bounds_report_structure_and_verdict():
     slack = max(1e-6, grid.dx ** 2)
     for measured, bound in pairs.values():
         assert 0.0 < measured <= bound + slack
+    one_cell = make_grid(20.0, 1)  # two nodes hold no second difference
+    with pytest.raises(ParameterError, match="bounds check cells N must be at least 2, got 1"):
+        DirichletHeatSemigroup(one_cell, 1.0).check_bounds(Field.zero(one_cell), 0.5)
 
 
 def test_bounds_hold_across_times_and_rates():
