@@ -130,13 +130,15 @@ def _format_cell(cell) -> str:
 @dataclass(frozen=True)
 class RunPlan:
     """A run's decisions, made from its spec by arithmetic alone: the windows,
-    depths and steps its compute part reads, and its work in trajectory-steps
-    (a bound on picard-contraction's sweeps), random draws and matrix assemblies."""
+    depths and steps its compute part reads, its work in trajectory-steps
+    (a bound on picard-contraction's sweeps), random draws and matrix
+    assemblies, and the bytes of the largest whole-trajectory stack it holds."""
 
     windows: dict = field(default_factory=dict)
     steps: int = 0
     samples: int = 0
     assemblies: int = 0
+    stack: int = 0
 
     def __getitem__(self, key: str):
         return self.windows[key]
@@ -147,6 +149,11 @@ class RunPlan:
 # at most 10^9 trajectory-steps, random draws or matrix assemblies: fifty
 # times the defaults' largest count, ou-stats' 2.0e7 draws (0.7 s on a 2-core Xeon).
 _MAX_RECORD, _MAX_WORK = 10**6, 10**9
+# A solve holds every frame of its run, (frames, 1, N + 1) doubles, and a
+# Picard solve two such stacks.  A run holds at most 2^30 bytes (1 GiB) of
+# them at once: eight operator matrices at the cell cap, and some 700 times
+# the defaults' largest (convergence-study's reference solve, 1.5 MB).
+_MAX_STACK = 2**30
 _DRAWS, _STEPS = "make {} random draws", "make {} trajectory-steps"
 
 
@@ -170,6 +177,12 @@ def _record(spec: ExperimentSpec, keys: tuple, m: int, window: tuple, step: floa
     """Draws of one m-row path on the window, by the sampler's window rule, within the cap."""
     draws = m * sum(window_steps(m, *window, step))
     return _capped(spec, keys, draws, "make a record of {} samples", _MAX_RECORD)
+
+
+def _stack(spec: ExperimentSpec, keys: tuple, frames: int, stacks: int = 1) -> int:
+    """Bytes of ``stacks`` whole-trajectory stacks of ``frames`` frames, within the cap."""
+    return _capped(spec, ("N", *keys), stacks * frames * (spec["N"] + 1) * 8,
+                   "make a trajectory stack of {} bytes", _MAX_STACK)
 
 
 def _delay_steps(tau: float, dt: float) -> int:
@@ -416,8 +429,9 @@ def _plan_picard_contraction(spec: ExperimentSpec) -> RunPlan:
     draws = _record(spec, ("mu", "dt"), params.m, window, dt)
     # at most ceil(steps / m) + 1 Picard sweeps, then the method-of-steps run
     sweeps = -(-steps // m) + 1
+    stack = _stack(spec, ("mu", "epsilon", "lipschitz", "dt"), m + steps + 1, 2)  # cur and new
     return RunPlan(dict(horizon=horizon, window=window), steps=(sweeps + 1) * steps,
-                   samples=draws, assemblies=6)
+                   samples=draws, assemblies=6, stack=stack)
 
 
 def _run_picard_contraction(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -455,15 +469,17 @@ def _run_picard_contraction(spec: ExperimentSpec, plan: RunPlan) -> ExperimentRe
 def _plan_cocycle(spec: ExperimentSpec) -> RunPlan:
     params, t, s = spec.model_params(), spec["t"], spec["s"]
     dts = (spec["dt"], spec["dt"] / 2.0)
-    for dt in dts:
-        _delay_steps(params.tau, dt)
+    ms = [_delay_steps(params.tau, dt) for dt in dts]
     window = (-(_s_cut(spec, "dt", dts[1]) + params.tau + 1.0), t + s)
     draws = _record(spec, ("t", "s", "dt"), params.m, window, dts[1])
     steps = 0
-    for dt in dts:  # cocycle_residual's t and s; a leg it solves takes a step at least
+    for dt, m in zip(dts, ms):  # cocycle_residual's t and s; a leg it solves takes a step at least
         n = [lattice_steps(v, dt, k, minimum=int(v > 0)) for k, v in (("t", t), ("s", s))]
         steps += sum(n) * (2 if all(n) else 1)
-    return RunPlan(dict(dts=dts, window=window), steps=steps, samples=draws, assemblies=6)
+    # the legs at dt/2 hold the largest whole stacks; the direct run steps in windows
+    stack = _stack(spec, ("t", "s", "dt"), m + max(n) + 1) if all(n) else 0
+    return RunPlan(dict(dts=dts, window=window), steps=steps, samples=draws, assemblies=6,
+                   stack=stack)
 
 
 def _run_cocycle(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -593,9 +609,10 @@ def _plan_fixed_point(spec: ExperimentSpec) -> RunPlan:
     # at each depth, then one run to depth horizon - 1 and one unit advance
     unit = lattice_steps(1.0, dt, "step", minimum=m + 1)
     depths = lattice_steps(horizon, 1.0, "horizon", minimum=3)
-    lattice_steps(np.arange(1.0, depths + 1.0), dt, "pullback time t", minimum=m + 1)
+    runs = lattice_steps(np.arange(1.0, depths + 1.0), dt, "pullback time t", minimum=m + 1)
     steps = _capped(spec, ("horizon", "dt"), unit * depths * (depths + 2), _STEPS)
-    return RunPlan(dict(window=window), steps=steps, samples=draws, assemblies=3)
+    stack = _stack(spec, ("horizon", "dt"), m + int(runs[-2]) + 1)  # the lone run, whole
+    return RunPlan(dict(window=window), steps=steps, samples=draws, assemblies=3, stack=stack)
 
 
 def _run_fixed_point(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -646,7 +663,9 @@ def _plan_convergence_study(spec: ExperimentSpec) -> RunPlan:
         n = lattice_steps(horizon, dt, "horizon", minimum=1)
         lattice_steps(dt * (np.arange(m + n + 1) - m), dt_ref, "time", minimum=None)
         steps += n
-    return RunPlan(dict(dts=dts, window=window), steps=steps, assemblies=9)
+    # every solve holds all its frames; the reference's, at dt_ref <= dt / 4, are the most
+    stack = _stack(spec, ("horizon", "dt_ref"), m + n + 1)
+    return RunPlan(dict(dts=dts, window=window), steps=steps, assemblies=9, stack=stack)
 
 
 def _run_convergence_study(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:

@@ -17,10 +17,13 @@ The stationary integrator for a component with decay rate mu is
     z(theta_t w) = -mu * integral_{-s_cut}^0 e^{mu s} (theta_t w)(s) ds
 
 evaluated by the trapezoid rule on the path lattice (``ou_series``, the
-one evaluator).  The window s_cut is chosen with mu * s_cut >= 40 so the
-discarded tail weight e^{-mu s_cut} is below 4e-18, i.e. invisible at
-double precision.  In stationarity each z is centered Gaussian with
-variance 1/(2 mu).
+one evaluator).  Like the shift, the series is a property of the record:
+one correlation of the whole base record per OUParams gives z at every
+knot with a full window, every run, leg and shift on that record reads
+it by index, and the record cap bounds it.  The window s_cut is chosen
+with mu * s_cut >= 40 so the discarded tail weight e^{-mu s_cut} is
+below 4e-18, i.e. invisible at double precision.  In stationarity each z
+is centered Gaussian with variance 1/(2 mu).
 
 Spatial noise shapes g_j vanish at the origin and decay; their second
 derivatives are carried analytically so the forcing term of the
@@ -34,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +77,9 @@ class WienerPath:
     base_values: np.ndarray
     origin: int
     dt_knot: float
+    # OUParams -> the record's OU series at every knot with a full window,
+    # filled by ou_series and shared by every shift of the record
+    _ou: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = float_array("base_values", self.base_values)
@@ -118,8 +124,9 @@ class WienerPath:
 
     def shift(self, s: float) -> "WienerPath":
         """The shifted path theta_s w, sharing this path's base record."""
-        idx = self.index_of(s)
-        return WienerPath(self.base_values, idx, self.dt_knot)
+        shifted = WienerPath(self.base_values, self.index_of(s), self.dt_knot)
+        object.__setattr__(shifted, "_ou", self._ou)
+        return shifted
 
     def knots(self) -> np.ndarray:
         """Materialized logical values over the whole window, (m, n)."""
@@ -212,22 +219,26 @@ def ou_series(path: WienerPath, p: OUParams, times) -> np.ndarray:
     """Stationary integrator at lattice times, shape (m, len(times)).
 
     A scalar time gives shape (m, 1).  Each value is the trapezoid sum
-    over the history window, read from one sliding correlation of the span
-    of the base record the times need, so its bits depend only on the base
-    index of its time, whatever the other times or the path's shift.
+    over the history window.  The first call for ``p`` on a record
+    correlates the whole base record once; every later call, at any
+    times and on any shift of the record, indexes that one series, so a
+    value's bits depend only on the base index of its time.
     """
     n_cut, ker, ker_mass = _window_kernel(p, path.dt_knot)
     idx = np.atleast_1d(path.index_of(times))
     if idx.size == 0:
         return np.empty((path.m, 0))
-    lo = idx.min() - n_cut
-    if lo < 0:
+    if idx.min() < n_cut:
         raise WindowExhaustedError(
             f"stationary evaluation needs {n_cut} lattice points of history before each time"
         )
-    span = path.base_values[:, lo : idx.max() + 1]
-    corr = np.array([np.correlate(row, ker, mode="valid") for row in span])
-    return -p.mu * (corr[:, idx - n_cut - lo] - path.base_values[:, idx] * ker_mass)
+    series = path._ou.get(p)
+    if series is None:
+        v = path.base_values
+        corr = np.array([np.correlate(row, ker, mode="valid") for row in v])
+        series = path._ou[p] = -p.mu * (corr - v[:, n_cut:] * ker_mass)
+        series.setflags(write=False)
+    return series[:, idx - n_cut]
 
 
 def sde_residual(path: WienerPath, p: OUParams, t0: float, t1: float) -> float:

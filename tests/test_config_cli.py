@@ -13,7 +13,7 @@ import pytest
 from rdslab.cli import main
 from rdslab.config import EXPERIMENTS, config_template, parse_config
 from rdslab.errors import ConditionViolatedError, ParameterError
-from rdslab.experiments import run_experiment
+from rdslab.experiments import plan_experiment, run_experiment
 
 VALID_KERNEL = """
 experiment = kernel-bound
@@ -300,9 +300,21 @@ def test_record_cap_counts_the_record_the_run_samples():
         parse_config(text.format(49960.1))
 
 
+def test_stack_cap_is_the_largest_trajectory_stack_a_run_may_hold():
+    # fixed-point's lone run to depth horizon - 1 holds every frame: 2 horizon
+    # frames at dt = tau = 0.5, so horizon = 16,384 fills 2^30 bytes at N = 4,095
+    text = "experiment = fixed-point\nseed = 1\nN = 4095\ndt = 0.5\ntau = 0.5\nhorizon = {}\n"
+    assert plan_experiment(parse_config(text.format(16384))).stack == 2**30
+    with pytest.raises(ParameterError, match="N = 4095, horizon = 16385.0 and dt = 0.5 make a "
+                                             "trajectory stack of 1073807360 bytes, more than "
+                                             "1073741824"):
+        parse_config(text.format(16385))
+
+
 # Configs (at seed 7) that validate passed and run then stopped with exit 2,
-# each with the value run named, or with a traceback (the first two), and a
-# count with no cap; validate now stops each, naming that value.
+# each with the value run named, or with a traceback (the first two), a
+# count with no cap, and a stack with no cap; validate now stops each,
+# naming that value.
 RUN_PLAN_CONFIGS = (
     ("experiment = semigroup-bounds\nN = 1\n", "key 'N' must be at least 2, got 1"),
     ("experiment = picard-contraction\nlipschitz = 1.7976931348623157e308\n",
@@ -326,6 +338,9 @@ RUN_PLAN_CONFIGS = (
      "tau = 0.050000000030000005\n", "pullback time t 2.0 is off the lattice of step 0.05"),
     ("experiment = kernel-bound\ntrials = 100000000000000000000\n",
      "trials = 100000000000000000000 and N = 200 make"),
+    # its first solve alone would take 2.06 GiB, its reference 16.5 GiB
+    ("experiment = convergence-study\nN = 4095\nhorizon = 2700\n",
+     "N = 4095, horizon = 2700.0 and dt_ref = 0.005 make a trajectory stack of 17696063488 bytes"),
 )
 
 

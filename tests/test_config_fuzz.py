@@ -127,14 +127,18 @@ def small_configs(draw) -> str:
 
 
 def _counted_run(spec):
-    """Run the spec, counting its trajectory-steps, path draws and matrix assemblies."""
-    counts = {"steps": 0, "samples": 0, "assemblies": 0}
+    """Run the spec, counting its trajectory-steps, path draws and matrix
+    assemblies, and the bytes of its largest whole-trajectory stacks."""
+    counts = {"steps": 0, "samples": 0, "assemblies": 0, "stack": 0}
     sweep, sample = DelaySolver._sweep, experiments.sample_wiener
     assemble = semigroup.operator_matrix
 
-    def counted_sweep(self, out, *args):
+    def counted_sweep(self, out, delayed, *args):
         counts["steps"] += (out.shape[0] - self.delay_steps - 1) * out.shape[1]
-        return sweep(self, out, *args)
+        if out.base is None:  # a whole stack, not a window of terminal_segments
+            held = out.nbytes + (delayed.nbytes if delayed is not out else 0)  # Picard's two
+            counts["stack"] = max(counts["stack"], held)
+        return sweep(self, out, delayed, *args)
 
     def counted_sample(*args):
         path = sample(*args)
@@ -162,6 +166,7 @@ def test_a_config_that_validates_runs_the_work_it_planned(text):
     spec = parse_config(text)
     plan, counts = plan_experiment(spec), _counted_run(spec)
     assert counts["assemblies"] == plan.assemblies
+    assert counts["stack"] == plan.stack
     if spec.experiment == "picard-contraction":  # the plan bounds the sweeps
         assert counts["steps"] <= plan.steps
     else:

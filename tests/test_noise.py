@@ -15,6 +15,7 @@ from rdslab.noise import (
     NoiseProfiles,
     OUParams,
     WienerPath,
+    _window_kernel,
     default_s_cut,
     empirical_decay_bound,
     noise_rows,
@@ -311,7 +312,7 @@ def test_ou_stats_rows_do_not_depend_on_the_stacks():
     assert list(result.rows) == oracle
 
 
-def test_ou_series_reads_only_the_span_its_times_need():
+def test_ou_series_at_any_time_subset_indexes_one_series():
     dt = 0.05
     p = OUParams(1.0, default_s_cut(1.0, dt))
     path = sample_wiener(2, -p.s_cut - 3.0, 2.0, dt, seed=12)
@@ -324,3 +325,85 @@ def test_ou_series_reads_only_the_span_its_times_need():
     assert ou_series(path, p, []).shape == (2, 0)
     with pytest.raises(WindowExhaustedError):
         ou_series(path, p, [0.0, first - dt])
+
+
+def _span_series(path, p, times):
+    """The evaluator before a record kept its series: one correlation of
+    only the span of the record that the times need."""
+    n_cut, ker, ker_mass = _window_kernel(p, path.dt_knot)
+    idx = np.atleast_1d(path.index_of(times))
+    lo = idx.min() - n_cut
+    span = path.base_values[:, lo : idx.max() + 1]
+    corr = np.array([np.correlate(row, ker, mode="valid") for row in span])
+    return -p.mu * (corr[:, idx - n_cut - lo] - path.base_values[:, idx] * ker_mass)
+
+
+def _subsets_the_ou_tests_read():
+    """(path, p, times) of every time subset the OU tests above read."""
+    dt = 0.05
+    p = OUParams(1.0, default_s_cut(1.0, dt))
+    shifted = sample_wiener(3, -p.s_cut - 6.0, 6.0, dt, seed=4)
+    pointwise = sample_wiener(2, -p.s_cut - 3.0, 3.0, dt, seed=5)
+    indexed = sample_wiener(2, -p.s_cut - 3.0, 2.0, dt, seed=12)
+    cases = [(shifted, p, (-2.0, 0.55, 3.0, 6.0))]
+    cases += [(shifted, p, t) for t in (-2.0, 0.55, 3.0, 6.0)]
+    times = np.arange(-2.0, 3.0 + dt / 2, dt)
+    cases += [(pointwise, p, times), (pointwise, p, times[17])]
+    grid = -3.0 + dt * np.arange(101)
+    picks = ([0], [100], [100, 0, 1], [3, 1, 99, 2])
+    cases += [(indexed, p, grid)] + [(indexed, p, grid[k]) for k in picks]
+    return cases
+
+
+def test_a_fresh_record_gives_the_bits_of_a_span_correlation():
+    # each value is the same ddot of the same window however much of the
+    # record is correlated, so a record's series moves no bit
+    for path, p, times in _subsets_the_ou_tests_read():
+        fresh = WienerPath(path.base_values.copy(), path.origin, path.dt_knot)
+        got = ou_series(fresh, p, times)
+        assert np.array_equal(got, _span_series(path, p, times))
+        assert np.array_equal(got, ou_series(path, p, times))
+
+
+def test_one_correlation_pass_per_record_and_params(monkeypatch):
+    rows = []
+    correlate = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda *a, **k: rows.append(1) or correlate(*a, **k))
+    dt = 0.05
+    p, q = OUParams(1.0, default_s_cut(1.0, dt)), OUParams(2.0, default_s_cut(2.0, dt))
+    path = sample_wiener(3, -p.s_cut - 3.0, 2.0, dt, seed=13)
+
+    def passes() -> float:
+        return len(rows) / path.m
+
+    ou_series(path, p, [0.0, -1.0])
+    assert passes() == 1
+    ou_series(path, p, -3.0 + dt * np.arange(101))
+    later = path.shift(1.5).shift(-0.5)
+    assert passes() == 1  # a shift adds no pass
+    ou_series(later, p, [0.0, -4.0])
+    ou_series(path.shift(-3.0), p, 0.0)
+    assert passes() == 1
+    ou_series(later, q, 0.0)  # a second OUParams has its own series
+    assert passes() == 2
+    ou_series(path, q, [-1.0, 0.5])
+    ou_series(path, p, 2.0)
+    assert passes() == 2
+    ou_series(WienerPath(path.base_values.copy(), path.origin, dt), p, 0.0)
+    assert passes() == 3  # a new record, though of the same values, correlates again
+
+
+def test_a_time_short_of_a_full_window_is_refused_with_or_without_the_series():
+    dt = 0.05
+    p = OUParams(1.0, default_s_cut(1.0, dt))
+    path = sample_wiener(1, -p.s_cut - 1.0, 1.0, dt, seed=14)
+    first = -1.0  # n_cut knots after the record's start
+    for _ in range(2):  # before the record has its series, then after
+        for t in (first - dt, path.t_lo, [0.0, first - dt]):
+            with pytest.raises(WindowExhaustedError):
+                ou_series(path, p, t)
+        ou_series(path, p, first)
+    shifted = path.shift(first)
+    with pytest.raises(WindowExhaustedError):
+        ou_series(shifted, p, -dt)
+    assert np.array_equal(ou_series(shifted, p, 0.0), ou_series(path, p, first))
