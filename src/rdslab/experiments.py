@@ -46,7 +46,8 @@ from .pullback import (
 )
 from .quadrature import erf
 from .semigroup import DirichletHeatSemigroup
-from .solver import PICARD_TOL, DelaySolver, SolverConfig, contraction_interval, picard_gain
+from .solver import (PICARD_TOL, DelaySolver, SolverConfig, batch_window, contraction_interval,
+                     picard_gain)
 
 if TYPE_CHECKING:
     from .config import ExperimentSpec
@@ -132,7 +133,9 @@ class RunPlan:
     """A run's decisions, made from its spec by arithmetic alone: the windows,
     depths and steps its compute part reads, its work in trajectory-steps
     (a bound on picard-contraction's sweeps), random draws and matrix
-    assemblies, and the bytes of the largest whole-trajectory stack it holds."""
+    assemblies (of distinct matrices, as live holders share them; this
+    assumes nothing outside the run holds one), and the bytes of the largest
+    stack it holds: a whole trajectory, or a batch window with its blocks."""
 
     windows: dict = field(default_factory=dict)
     steps: int = 0
@@ -149,10 +152,11 @@ class RunPlan:
 # at most 10^9 trajectory-steps, random draws or matrix assemblies: fifty
 # times the defaults' largest count, ou-stats' 2.0e7 draws (0.7 s on a 2-core Xeon).
 _MAX_RECORD, _MAX_WORK = 10**6, 10**9
-# A solve holds every frame of its run, (frames, 1, N + 1) doubles, and a
-# Picard solve two such stacks.  A run holds at most 2^30 bytes (1 GiB) of
-# them at once: eight operator matrices at the cell cap, and some 700 times
-# the defaults' largest (convergence-study's reference solve, 1.5 MB).
+# A solve holds every frame of its run, (frames, 1, N + 1) doubles, a Picard
+# solve two such stacks, and a batch of B a (frames, B, N + 1) window.  A run
+# holds at most 2^30 bytes (1 GiB) of them at once: eight operator matrices
+# at the cell cap, and some 700 times the defaults' largest
+# (convergence-study's reference solve, 1.5 MB).
 _MAX_STACK = 2**30
 _DRAWS, _STEPS = "make {} random draws", "make {} trajectory-steps"
 
@@ -180,9 +184,15 @@ def _record(spec: ExperimentSpec, keys: tuple, m: int, window: tuple, step: floa
 
 
 def _stack(spec: ExperimentSpec, keys: tuple, frames: int, stacks: int = 1) -> int:
-    """Bytes of ``stacks`` whole-trajectory stacks of ``frames`` frames, within the cap."""
+    """Bytes of ``stacks`` stacks, or batch members, of ``frames`` frames, within the cap."""
     return _capped(spec, ("N", *keys), stacks * frames * (spec["N"] + 1) * 8,
                    "make a trajectory stack of {} bytes", _MAX_STACK)
+
+
+def _window(m: int, n: int) -> int:
+    """Frames a batch stepped n steps holds: terminal_segments' window of
+    m + 1 + min(n, batch_window(m)) and _sweep's three m-frame blocks."""
+    return 4 * m + 1 + min(n, batch_window(m))
 
 
 def _delay_steps(tau: float, dt: float) -> int:
@@ -257,9 +267,9 @@ def _smooth_random_field(grid, rng) -> Field:
 
 def _plan_semigroup_bounds(spec: ExperimentSpec) -> RunPlan:
     integer("key 'N'", spec["N"], 2)  # check_bounds' rule
-    # 12 uniform draws a field; three linear propagators a (rate, time) flow
+    # 12 uniform draws a field; three linear H a time, scaled for every rate
     draws = _capped(spec, ("fields",), 12 * spec["fields"], _DRAWS)
-    return RunPlan(samples=draws, assemblies=3 * len(SEMIGROUP_RATES) * len(SEMIGROUP_TIMES))
+    return RunPlan(samples=draws, assemblies=3 * len(SEMIGROUP_TIMES))
 
 
 def _run_semigroup_bounds(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -270,16 +280,16 @@ def _run_semigroup_bounds(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResu
               for i in range(n_fields)]
     slack = max(1e-6, grid.dx ** 2)
 
+    # one call per time: it holds that time's H while every rate scales it
+    flow = DirichletHeatSemigroup(grid)
+    by_time = [flow.check_bounds(fields, t, SEMIGROUP_RATES) for t in SEMIGROUP_TIMES]
     rows = []
-    for mu in SEMIGROUP_RATES:
-        for t in SEMIGROUP_TIMES:
-            # one flow per (mu, t), so three propagators are alive at a time
-            flow = DirichletHeatSemigroup(grid, mu)
-            for i, f in enumerate(fields):
-                pairs = flow.check_bounds(f, t).values()
-                ok = all(measured <= bound + slack for measured, bound in pairs)
+    for i in range(n_fields):
+        for r, mu in enumerate(SEMIGROUP_RATES):
+            for t, measured in zip(SEMIGROUP_TIMES, by_time):
+                pairs = measured[i][r].values()
+                ok = all(value <= bound + slack for value, bound in pairs)
                 rows.append((i, mu, t, *(x for pair in pairs for x in pair), ok))
-    rows.sort(key=lambda row: row[0])  # stable: (mu, t) order within each field
     # measured / (bound + slack) <= 1 exactly when measured <= bound + slack
     table = np.array([row[3:11] for row in rows]).reshape(len(rows), 4, 2)
     worst = float(np.max(table[..., 0] / (table[..., 1] + slack)))
@@ -430,8 +440,9 @@ def _plan_picard_contraction(spec: ExperimentSpec) -> RunPlan:
     # at most ceil(steps / m) + 1 Picard sweeps, then the method-of-steps run
     sweeps = -(-steps // m) + 1
     stack = _stack(spec, ("mu", "epsilon", "lipschitz", "dt"), m + steps + 1, 2)  # cur and new
+    # the two solvers are alive together, so they share their three matrices
     return RunPlan(dict(horizon=horizon, window=window), steps=(sweeps + 1) * steps,
-                   samples=draws, assemblies=6, stack=stack)
+                   samples=draws, assemblies=3, stack=stack)
 
 
 def _run_picard_contraction(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -476,9 +487,11 @@ def _plan_cocycle(spec: ExperimentSpec) -> RunPlan:
     for dt, m in zip(dts, ms):  # cocycle_residual's t and s; a leg it solves takes a step at least
         n = [lattice_steps(v, dt, k, minimum=int(v > 0)) for k, v in (("t", t), ("s", s))]
         steps += sum(n) * (2 if all(n) else 1)
-    # the legs at dt/2 hold the largest whole stacks; the direct run steps in windows
-    stack = _stack(spec, ("t", "s", "dt"), m + max(n) + 1) if all(n) else 0
-    return RunPlan(dict(dts=dts, window=window), steps=steps, samples=draws, assemblies=6,
+    # at dt/2: the direct run's window, and the legs' whole stacks if both run
+    frames = max(_window(m, sum(n)) if any(n) else 0, m + max(n) + 1 if all(n) else 0)
+    stack = _stack(spec, ("t", "s", "dt"), frames)
+    # the dt/2 solver is built while the dt one is alive: they share S(dt/2) and Disp
+    return RunPlan(dict(dts=dts, window=window), steps=steps, samples=draws, assemblies=4,
                    stack=stack)
 
 
@@ -519,9 +532,13 @@ def _plan_absorbing(spec: ExperimentSpec) -> RunPlan:
     lattice_steps(decay_lo, dt, "t_lo", minimum=None)  # derived_constants' window
     depths = lattice_steps(times, dt, "pullback time t", minimum=m + 1)
     runs = spec["paths"] * spec["segments"] * int(depths.sum())
+    # each depth's segments are one batch; the deepest holds the largest window
+    stack = _stack(spec, ("segments", "t_max", "dt"), _window(m, int(depths.max())),
+                   spec["segments"])
     return RunPlan(dict(times=times, window=window, decay_lo=decay_lo),
                    steps=_capped(spec, ("paths", "segments", "t_max", "dt"), runs, _STEPS),
-                   samples=_capped(spec, ("paths", "t_max", "dt"), draws, _DRAWS), assemblies=3)
+                   samples=_capped(spec, ("paths", "t_max", "dt"), draws, _DRAWS), assemblies=3,
+                   stack=stack)
 
 
 def _run_absorbing(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -611,7 +628,9 @@ def _plan_fixed_point(spec: ExperimentSpec) -> RunPlan:
     depths = lattice_steps(horizon, 1.0, "horizon", minimum=3)
     runs = lattice_steps(np.arange(1.0, depths + 1.0), dt, "pullback time t", minimum=m + 1)
     steps = _capped(spec, ("horizon", "dt"), unit * depths * (depths + 2), _STEPS)
-    stack = _stack(spec, ("horizon", "dt"), m + int(runs[-2]) + 1)  # the lone run, whole
+    # the lone run is whole; the deepest pair, a batch of two
+    frames = max(m + int(runs[-2]) + 1, 2 * _window(m, int(runs[-1])))
+    stack = _stack(spec, ("horizon", "dt"), frames)
     return RunPlan(dict(window=window), steps=steps, samples=draws, assemblies=3, stack=stack)
 
 
@@ -665,7 +684,9 @@ def _plan_convergence_study(spec: ExperimentSpec) -> RunPlan:
         steps += n
     # every solve holds all its frames; the reference's, at dt_ref <= dt / 4, are the most
     stack = _stack(spec, ("horizon", "dt_ref"), m + n + 1)
-    return RunPlan(dict(dts=dts, window=window), steps=steps, assemblies=9, stack=stack)
+    # three matrices a solver, less the S(dt/2) that is the next solver's S(dt)
+    shared = sum(b == a / 2.0 for a, b in zip(dts, dts[1:]))
+    return RunPlan(dict(dts=dts, window=window), steps=steps, assemblies=9 - shared, stack=stack)
 
 
 def _run_convergence_study(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -679,11 +700,14 @@ def _run_convergence_study(spec: ExperimentSpec, plan: RunPlan) -> ExperimentRes
     path = zero_wiener(params.m, *plan["window"], dts[-1])
     psi_fn = lambda xi, x: x * np.exp(-x) * (1.0 + 0.5 * np.sin(3.0 * xi))
     terminals = []
-    for dt in dts:
+    for dt, after in zip(dts, dts[1:] + (None,)):
         solver = DelaySolver(grid, params, SolverConfig(dt))
+        carried = None  # the solver now holds it
         psi = Segment.from_function(grid, params.tau, dt, psi_fn)
         terminals.append(solver.solve(psi, path, horizon).values[-1].copy())
-        del solver  # free this solver's N = 800 matrices before the next is built
+        if after == dt / 2.0:  # this S(dt/2) is the next solver's S(dt): keep it alone
+            carried = solver.semigroup.operator(after, params.mu)
+        del solver  # free this solver's other N = 800 matrices before the next is built
     errors = [float(np.max(np.abs(term - terminals[-1]))) for term in terminals[:2]]
     ratio = errors[0] / errors[1] if errors[1] > 0 else float("inf")
     rows = [(dts[0], errors[0]), (dts[1], errors[1])]

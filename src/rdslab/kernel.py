@@ -15,6 +15,9 @@ The matrix uses linear product integration (see quadrature module), so
 entries are nonnegative and row sums are the truncated kernel mass,
 rounded: at most 1 up to one ulp.  The contraction property therefore
 holds for the matrix itself to that ulp, not up to quadrature error.
+
+Gamma(alpha) is the heat kernel's image pair at time alpha, so the matrix
+is the linear H(alpha) of ``quadrature.shared_matrix``, shared read-only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, float_array, positive
 from .grid import Grid
-from .quadrature import erf, operator_matrix
+from .quadrature import erf, shared_matrix
 
 __all__ = ["DispersalKernel", "tail_mass"]
 
@@ -49,8 +52,7 @@ class DispersalKernel:
     def __init__(self, alpha: float, grid: Grid):
         positive("alpha", alpha)
         self.grid = grid
-        self.matrix = operator_matrix(grid.nodes, grid.nodes, alpha, kind="image_pair", order="linear")
-        self.matrix.setflags(write=False)
+        self.matrix = shared_matrix(grid, alpha, "linear")
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         values = float_array("values", values)

@@ -51,10 +51,18 @@ is exactly 0.  The spline's second derivatives at the interior nodes are
 A^{-1} R f (A the tridiagonal spline system, R the second difference);
 their weights G enter as (A^{-1} G^T)^T R, one banded solve with the
 output rows as right-hand sides, so no step costs more than O(N^2).
+The solved h = (A^{-1} G^T)^T is copied to memory order before the
+linear table is gathered, so the spline update reads it with unit stride.
 Both terms' cells go through one moment evaluation, and the normal CDF
 pair is evaluated once per edge.  The image term is subtracted,
 the spline update added and the flush below applied a row block at a
 time, so an assembly holds at most two matrices and a block.
+
+Sharing.  ``operator_matrix`` is the pure assembler.  The dispersal kernel
+and the heat semigroup take read-only matrices from ``shared_matrix``,
+keyed by grid, a, order and (for a killed propagator) mu.  Its table holds
+weak references: a lookup returns the array a live holder has, else
+assembles it, and a matrix dies with its last holder.
 
 Subnormal flush.  Every entry of magnitude below the smallest normal
 double, 2.2e-308, is set to 0 (``flush_subnormal``; the heat semigroup
@@ -84,15 +92,16 @@ bit (the tests check against scipy, which the package does not import).
 from __future__ import annotations
 
 import math
+import weakref
 from math import comb
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, float_array, positive
-from .grid import lattice_steps
+from .grid import Grid, lattice_steps
 
-__all__ = ["operator_matrix", "flush_subnormal", "gaussian_pdf", "erf"]
+__all__ = ["operator_matrix", "shared_matrix", "flush_subnormal", "gaussian_pdf", "erf"]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _TINY = np.finfo(float).tiny
@@ -100,6 +109,8 @@ _TINY = np.finfo(float).tiny
 # block's temporaries stay a small fraction of the matrix.
 _ROW_BLOCK = 64
 _SQRT1_2 = math.sqrt(0.5)
+# Finished matrices by every input that sets their bits, held weakly.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
@@ -301,8 +312,10 @@ def operator_matrix(
         if image is not None:
             for rows in blocks:
                 g[rows] -= image.curvature(rows)
+        # h in memory order, for unit-stride row blocks; g goes before w comes
         g = np.ascontiguousarray(g.T)
-        h = _spline_solve(g, dx).T
+        h = np.ascontiguousarray(_spline_solve(g, dx).T)
+        del g
     w = direct.linear(slice(None))
     for rows in blocks:
         if image is not None:
@@ -312,4 +325,24 @@ def operator_matrix(
             w[rows, 1:-1] -= 2.0 * h[rows]
             w[rows, 2:] += h[rows]
         flush_subnormal(w[rows])
+    return w
+
+
+def shared_matrix(grid: Grid, a: float, order: str, mu: float | None = None) -> np.ndarray:
+    """The read-only image-pair matrix H(a) on the grid's nodes, or with
+    ``mu`` the killed propagator flush(e^{-mu a} H(a)): the array a live
+    holder has, else a new one.  A killed propagator scales a live H(a) into
+    a copy, else a fresh assembly in place: the same products either way."""
+    key = (grid, float(a), order, mu)  # a grid's nodes are fixed by its length and N
+    w = _SHARED.get(key)
+    if w is None:
+        h = _SHARED.get(key[:3] + (None,))
+        if h is None:
+            h = w = operator_matrix(grid.nodes, grid.nodes, a, kind="image_pair", order=order)
+        if mu is not None:
+            # the scaling can take a normal entry below the smallest normal
+            # double, so the flush is repeated after it
+            w = flush_subnormal(np.multiply(h, np.exp(-mu * a), out=h if h is w else None))
+        w.setflags(write=False)
+        _SHARED[key] = w
     return w

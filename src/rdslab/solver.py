@@ -178,6 +178,11 @@ def picard_gain(params: ModelParams, horizon: float) -> float:
     return params.feedback_lipschitz / params.mu * (1.0 - math.exp(-params.mu * horizon))
 
 
+def batch_window(m: int) -> int:
+    """Steps per window of terminal_segments at m steps per delay: k m, k = ceil(64 / m)."""
+    return m * -(-_WINDOW_STEPS // m)
+
+
 def _feedback(params: ModelParams, kernel: DispersalKernel, arg) -> np.ndarray:
     """eps * Disp[f(arg)] along the last axis, for any batch shape."""
     return params.epsilon * kernel.apply_values(params.nonlinearity.value(arg))
@@ -208,7 +213,8 @@ def evaluate_feedback(
 class DelaySolver:
     """Precomputed-matrix integrator for one (grid, params, config) triple.
 
-    Matrices are built once and shared read-only by every solve.
+    Its matrices come read-only from ``quadrature.shared_matrix``, shared
+    by every solve and by any solver alive at the same time that needs them.
     :meth:`_sweep` is the one step kernel: :meth:`solve` runs it once on a
     batch of one, :meth:`terminal_segments` once per window of a batch,
     and :meth:`picard_solve` once per sweep.
@@ -223,9 +229,9 @@ class DelaySolver:
                 raise ParameterError(
                     f"picard mode needs dt < contraction horizon {upper:.6g}, got dt = {cfg.dt}"
                 )
-        self.semigroup = DirichletHeatSemigroup(grid, params.mu)
-        self._step_full = self.semigroup.operator(cfg.dt, order="spline")
-        self._step_half = self.semigroup.operator(cfg.dt / 2.0, order="spline")
+        self.semigroup = DirichletHeatSemigroup(grid)
+        self._step_full = self.semigroup.operator(cfg.dt, params.mu, "spline")
+        self._step_half = self.semigroup.operator(cfg.dt / 2.0, params.mu, "spline")
         self.dispersal = DispersalKernel(params.alpha, grid)
         self._profile_rows = params.profiles.values(grid.nodes)
         self._laplacian_rows = params.profiles.second_derivatives(grid.nodes)
@@ -329,7 +335,7 @@ class DelaySolver:
         pass.  Window edges sit on absolute block boundaries (the first
         window is short by the phase), so no edge adds a padded product."""
         m = self.delay_steps
-        w = m * -(-_WINDOW_STEPS // m)
+        w = batch_window(m)
         out, phase = self._frames(psis, path, horizon, w)
         z = self.noise_series(path, horizon)
         n = z.shape[1] - m - 1

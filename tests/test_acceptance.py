@@ -67,13 +67,13 @@ def test_criterion_02_semigroup_bounds():
 
 def test_criterion_03_semigroup_law():
     grid = make_grid(20.0, 200)
-    flow = DirichletHeatSemigroup(grid, 1.0)
+    flow = DirichletHeatSemigroup(grid)
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
         f = Field(grid, grid.nodes * np.exp(-(grid.nodes ** 2) / (4.0 * a)))
         for t, s in ((1e-3, 0.1), (0.1, 0.4), (0.5, 0.5), (1.0, 4.0)):
-            combined = flow.operator(t + s) @ f.values
-            chained = flow.operator(t) @ (flow.operator(s) @ f.values)
+            combined = flow.operator(t + s, 1.0) @ f.values
+            chained = flow.operator(t, 1.0) @ (flow.operator(s, 1.0) @ f.values)
             worst = max(worst, float(np.max(np.abs(combined - chained))))
     assert worst <= 1e-6
     print(f"[criterion 3] PASS - semigroup law defect {worst:.3e} <= 1e-6")
@@ -82,9 +82,9 @@ def test_criterion_03_semigroup_law():
 def test_criterion_04_closed_form_oracle():
     grid = make_grid(20.0, 200)
     mu, a, t = 1.0, 1.0, 0.5
-    flow = DirichletHeatSemigroup(grid, mu)
+    flow = DirichletHeatSemigroup(grid)
     f = Field(grid, grid.nodes * np.exp(-(grid.nodes ** 2) / (4.0 * a)))
-    out = flow.operator(t) @ f.values
+    out = flow.operator(t, mu) @ f.values
     exact = (
         np.exp(-mu * t) * (a / (a + t)) ** 1.5
         * grid.nodes * np.exp(-(grid.nodes ** 2) / (4.0 * (a + t)))

@@ -341,6 +341,9 @@ RUN_PLAN_CONFIGS = (
     # its first solve alone would take 2.06 GiB, its reference 16.5 GiB
     ("experiment = convergence-study\nN = 4095\nhorizon = 2700\n",
      "N = 4095, horizon = 2700.0 and dt_ref = 0.005 make a trajectory stack of 17696063488 bytes"),
+    # each depth's batch: a window of 81 frames and three blocks of 10 frames, 10,000 histories wide
+    ("experiment = absorbing\nN = 4095\nsegments = 10000\n",
+     "N = 4095, segments = 10000, t_max = 10.0 and dt = 0.025 make a trajectory stack of 36372480000 bytes"),
 )
 
 

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from unittest import mock
 
-from rdslab import experiments, kernel, semigroup
+from rdslab import experiments, quadrature
 from rdslab.cli import main
 from rdslab.config import EXPERIMENTS, parse_config
 from rdslab.errors import ConditionViolatedError, ParameterError
@@ -128,16 +128,18 @@ def small_configs(draw) -> str:
 
 def _counted_run(spec):
     """Run the spec, counting its trajectory-steps, path draws and matrix
-    assemblies, and the bytes of its largest whole-trajectory stacks."""
+    assemblies, and the bytes of its largest stepping stack."""
     counts = {"steps": 0, "samples": 0, "assemblies": 0, "stack": 0}
     sweep, sample = DelaySolver._sweep, experiments.sample_wiener
-    assemble = semigroup.operator_matrix
+    assemble = quadrature.operator_matrix
 
     def counted_sweep(self, out, delayed, *args):
         counts["steps"] += (out.shape[0] - self.delay_steps - 1) * out.shape[1]
         if out.base is None:  # a whole stack, not a window of terminal_segments
             held = out.nbytes + (delayed.nbytes if delayed is not out else 0)  # Picard's two
-            counts["stack"] = max(counts["stack"], held)
+        else:  # the window's allocation and _sweep's three (m, B, N + 1) blocks
+            held = out.base.nbytes + 3 * self.delay_steps * out[0].nbytes
+        counts["stack"] = max(counts["stack"], held)
         return sweep(self, out, delayed, *args)
 
     def counted_sample(*args):
@@ -151,8 +153,7 @@ def _counted_run(spec):
 
     with mock.patch.object(DelaySolver, "_sweep", counted_sweep), \
             mock.patch.object(experiments, "sample_wiener", counted_sample), \
-            mock.patch.object(semigroup, "operator_matrix", counted_assembly), \
-            mock.patch.object(kernel, "operator_matrix", counted_assembly):
+            mock.patch.object(quadrature, "operator_matrix", counted_assembly):
         run_experiment(spec).csv_text()
     return counts
 
@@ -160,6 +161,7 @@ def _counted_run(spec):
 @settings(FUZZ, max_examples=100)
 @given(small_configs())
 @example("experiment = convergence-study\nseed = 7\nmu = 3\nN = 8\n")  # solvers' OU windows differ
+@example("experiment = convergence-study\nseed = 7\nN = 8\ndt = 0.04\ndt_ref = 0.01\n")  # two carries
 def test_a_config_that_validates_runs_the_work_it_planned(text):
     if _rejection(text) is not None:
         return

@@ -64,8 +64,8 @@ _MALFORMED = {
     "SolverConfig-dt": (lambda: SolverConfig("a"), "dt", "a real number"),
     "SolverConfig-None": (lambda: SolverConfig(None), "dt", "a real number"),
     "OUParams-mu": (lambda: OUParams("a", 40), "mu", "a real number"),
-    "semigroup-mu": (lambda: DirichletHeatSemigroup(_GRID, "a"), "mu", "a real number"),
-    "semigroup-operator-t": (lambda: DirichletHeatSemigroup(_GRID, 1.0).operator("a"),
+    "semigroup-mu": (lambda: DirichletHeatSemigroup(_GRID).operator(0.5, "a"), "mu", "a real number"),
+    "semigroup-operator-t": (lambda: DirichletHeatSemigroup(_GRID).operator("a", 1.0),
                              "propagator time", "a real number"),
     "make_grid-L": (lambda: make_grid("a", 10), "L", "a real number"),
     "Grid-length": (lambda: Grid("a", 2, 0.5, np.array([0.0, 0.5, 1.0])), "length", "a real number"),

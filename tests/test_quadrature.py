@@ -11,6 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import rdslab.quadrature as quadrature
 from rdslab.errors import ParameterError
 from rdslab.grid import make_grid
 from rdslab.quadrature import (
@@ -141,9 +142,9 @@ def test_image_pair_on_nodes_away_from_zero():
 @pytest.mark.parametrize("n_cells", [200, 800])
 def test_spline_propagator_row_zero_is_exactly_zero(n_cells):
     # at x = 0 the direct and image terms read the same table entries
-    semigroup = DirichletHeatSemigroup(make_grid(20.0, n_cells), mu=1.0)
+    semigroup = DirichletHeatSemigroup(make_grid(20.0, n_cells))
     for t in (0.005, 0.01, 1.0):
-        assert np.all(semigroup.operator(t, "spline")[0] == 0.0)
+        assert np.all(semigroup.operator(t, 1.0, "spline")[0] == 0.0)
 
 
 TINY = np.finfo(float).tiny
@@ -161,8 +162,8 @@ def test_no_operator_matrix_has_a_subnormal_entry(n_cells, a, order):
     # N = 800 the unflushed spline propagators carry thousands of them
     grid = make_grid(20.0, n_cells)
     assert _subnormal_count(operator_matrix(grid.nodes, grid.nodes, a, order=order)) == 0
-    semigroup = DirichletHeatSemigroup(grid, mu=1.0)
-    assert _subnormal_count(semigroup.operator(a, order)) == 0
+    semigroup = DirichletHeatSemigroup(grid)
+    assert _subnormal_count(semigroup.operator(a, 1.0, order)) == 0
 
 
 def _property_cases(seed: int, count: int):
@@ -203,7 +204,7 @@ def test_propagator_is_flushed_after_its_killing_factor():
     # at N = 1600, a = 0.005 the e^{-mu t} scaling takes two normal
     # entries of the spline matrix below the smallest normal double
     grid = make_grid(20.0, 1600)
-    w = DirichletHeatSemigroup(grid, mu=1.0).operator(0.005, "spline")
+    w = DirichletHeatSemigroup(grid).operator(0.005, 1.0, "spline")
     assert _subnormal_count(w) == 0
 
 
@@ -230,6 +231,42 @@ def test_assembly_holds_few_matrices(order, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * w.nbytes
+
+
+def _strided_spline_assembly(nodes: np.ndarray, a: float) -> np.ndarray:
+    """The image-pair spline matrix from the nodes to themselves, with the
+    spline update reading h through its transposed view, (A^{-1} G^T)^T, as
+    the assembly did before h was copied to memory order."""
+    n, dx = nodes.size, (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    p = np.arange(n)
+    layout = [(0.0, 1 - n, n - 1 - p), (2.0 * nodes[0], 0, p)]
+    edges = [origin + np.arange(first - 1, first + int(starts.max()) + n + 1) * dx
+             for origin, first, starts in layout]
+    tables = quadrature._cell_weights(np.concatenate(edges), dx, np.sqrt(2.0 * a))
+    seam = edges[0].size
+    direct = quadrature._Term(layout[0][2], n, *(t[:seam - 1] for t in tables))
+    image = quadrature._Term(layout[1][2], n, *(t[seam:] for t in tables))
+    blocks = [slice(i, i + quadrature._ROW_BLOCK) for i in range(0, n, quadrature._ROW_BLOCK)]
+    g = direct.curvature(slice(None))
+    for rows in blocks:
+        g[rows] -= image.curvature(rows)
+    h = _spline_solve(np.ascontiguousarray(g.T), dx).T
+    w = direct.linear(slice(None))
+    for rows in blocks:
+        w[rows] -= image.linear(rows)
+        w[rows, :-2] += h[rows]
+        w[rows, 1:-1] -= 2.0 * h[rows]
+        w[rows, 2:] += h[rows]
+        flush_subnormal(w[rows])
+    return w
+
+
+@pytest.mark.parametrize("a", [0.005, 0.02, 1.0])
+def test_spline_update_in_memory_order_keeps_the_strided_bits(a):
+    # the elementwise operations are the same; only the layout of h moved
+    grid = make_grid(20.0, 800)
+    w = operator_matrix(grid.nodes, grid.nodes, a, order="spline")
+    assert np.array_equal(_bits(w), _bits(_strided_spline_assembly(grid.nodes, a)))
 
 
 def _i0_per_edge(sigma: float, edges: np.ndarray) -> np.ndarray:

@@ -332,6 +332,26 @@ def test_a_picard_solve_holds_two_state_stacks():
     assert peak < 2.5 * traj.values.nbytes
 
 
+def test_live_solvers_share_their_matrices_and_freed_ones_are_rebuilt(monkeypatch):
+    # the matrix table holds its entries weakly: a matrix is shared while a
+    # holder lives and assembled afresh once none does
+    builds = []
+    assemble = rdslab.quadrature.operator_matrix
+    monkeypatch.setattr(rdslab.quadrature, "operator_matrix",
+                        lambda *args, **kw: builds.append(args[2]) or assemble(*args, **kw))
+    grid, params, cfg = make_grid(7.0, 35), live_params(), SolverConfig(0.02)
+    first = DelaySolver(grid, params, cfg)
+    second = DelaySolver(grid, params, cfg)
+    assert second._step_full is first._step_full
+    assert second._step_half is first._step_half
+    assert second.dispersal.matrix is first.dispersal.matrix
+    assert len(builds) == 3
+    del first, second
+    third = DelaySolver(grid, params, cfg)
+    assert len(builds) == 6
+    assert not third._step_full.flags.writeable
+
+
 def test_segments_do_not_pin_their_trajectory():
     params = live_params()
     dt = 0.01
@@ -460,8 +480,8 @@ def _frame_by_frame(solver, psis, path, horizon):
     states = out[:, 0] if len(psis) == 1 else out
     z = solver.noise_series(path, horizon)
     z_rows, q_rows = solver.field_rows(z), solver.field_rows(z, laplacian=True)
-    full = solver.semigroup.operator(dt, order="spline").T
-    half = solver.semigroup.operator(dt / 2.0, order="spline").T
+    full = solver.semigroup.operator(dt, params.mu, "spline").T
+    half = solver.semigroup.operator(dt / 2.0, params.mu, "spline").T
     feedback = params.epsilon != 0.0
     b = len(psis) if feedback else 1
     for k in range(n):
@@ -595,7 +615,7 @@ def test_gemm_row_bits_do_not_depend_on_the_other_rows():
     # The restart exactness above rests on this property of the BLAS: a row
     # of an M-row product depends on M and on the row's place, never on the
     # other rows' values or on where the buffers sit in memory.
-    half = DirichletHeatSemigroup(GRID, 1.0).operator(0.005, order="spline")
+    half = DirichletHeatSemigroup(GRID).operator(0.005, 1.0, "spline")
     rng = np.random.default_rng(5)
     for mat in (half.T, DispersalKernel(1.0, GRID).matrix.T):
         for rows in (1, 2, 5, 10, 20, 50, 70):
@@ -713,12 +733,12 @@ def test_variation_of_constants_consistency():
     path = live_path(params, dr, params.tau, seed=9)
     traj = solver.solve(psi, path, params.tau)
 
-    flow = DirichletHeatSemigroup(GRID, params.mu)
+    flow = DirichletHeatSemigroup(GRID)
     op = DispersalKernel(params.alpha, GRID)
     t_end = params.tau
     z = ou_series(path, solver.ou_params, np.arange(0, int(round(t_end / dr))) * dr - t_end)
     z_rows = noise_rows(params.profiles.values(GRID.nodes), z)
-    acc = flow.operator(t_end) @ psi.frame(psi.n_frames - 1).values
+    acc = flow.operator(t_end, params.mu) @ psi.frame(psi.n_frames - 1).values
     for j in range(int(round(t_end / dr))):
         r = j * dr
         delayed = Field(GRID, psi_fn(r - t_end, GRID.nodes))
@@ -726,7 +746,7 @@ def test_variation_of_constants_consistency():
         force = evaluate_feedback(params, delayed, zn, kernel=op).values
         zq = ou_series(path, solver.ou_params, r)
         force = force + noise_rows(params.profiles.second_derivatives(GRID.nodes), zq)[0]
-        weight = flow.operator(t_end - r) if t_end - r > 0 else np.eye(GRID.nodes.size)
+        weight = flow.operator(t_end - r, params.mu) if t_end - r > 0 else np.eye(GRID.nodes.size)
         acc = acc + dr * (weight @ force)
     gap = np.max(np.abs(traj.values[-1] - acc))
     assert gap <= 5.0 * dt
