@@ -2,8 +2,13 @@
 
 Each experiment is a plan and a compute part.  The plan, arithmetic on an
 ExperimentSpec that ``parse_config`` runs, checks the model conditions and
-makes every lattice decision, path window and size cap of the run by the
-rules the library applies at run time.  The compute part reads the plan's
+makes every lattice decision, path window and size cap of the run.  A rule
+that the library applies again at run time is called, not restated: each
+has one definition, in the module that applies it (``solver``,
+``pullback``, ``semigroup``), so a plan and a run refuse a value in the
+same words.  A stack's bytes are ``solver.stack_bytes``: a batch counts its
+window, its frames' OU values, and the step kernel's two block buffers with
+one delay block's noise rows.  The compute part reads the plan's
 numbers and returns an ExperimentResult holding the CSV rows (fixed
 order, 17-significant-digit rendering, so identical spec + seed gives
 byte-identical output) and a list of named checks, one per asserted
@@ -22,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConditionViolatedError, ParameterError, integer
+from .errors import ConditionViolatedError, ParameterError
 from .grid import Field, Segment, lattice_steps, segment_co_norm, sup_norm
 from .kernel import DispersalKernel, tail_mass
 from .noise import (
@@ -37,17 +42,20 @@ from .noise import (
 )
 from .pullback import (
     absorbing_radius,
+    cocycle_legs,
     cocycle_residual,
     derived_constants,
     fixed_point_estimate,
+    fixed_point_times,
     pullback_bound,
     pullback_conjugated,
+    pullback_steps,
     transient_envelope,
 )
 from .quadrature import erf
-from .semigroup import DirichletHeatSemigroup
-from .solver import (PICARD_TOL, DelaySolver, SolverConfig, batch_window, contraction_interval,
-                     picard_gain)
+from .semigroup import DirichletHeatSemigroup, bounds_check_cells
+from .solver import (PICARD_TOL, DelaySolver, SolverConfig, contraction_interval, delay_steps,
+                     picard_gain, stack_bytes)
 
 if TYPE_CHECKING:
     from .config import ExperimentSpec
@@ -153,7 +161,8 @@ class RunPlan:
 # times the defaults' largest count, ou-stats' 2.0e7 draws (0.7 s on a 2-core Xeon).
 _MAX_RECORD, _MAX_WORK = 10**6, 10**9
 # A solve holds every frame of its run, (frames, 1, N + 1) doubles, a Picard
-# solve two such stacks, and a batch of B a (frames, B, N + 1) window.  A run
+# solve two such stacks, and a batch of B a (frames, B, N + 1) window, each
+# with what its step kernel holds (solver.stack_bytes).  A run
 # holds at most 2^30 bytes (1 GiB) of them at once: eight operator matrices
 # at the cell cap, and some 700 times the defaults' largest
 # (convergence-study's reference solve, 1.5 MB).
@@ -183,20 +192,11 @@ def _record(spec: ExperimentSpec, keys: tuple, m: int, window: tuple, step: floa
     return _capped(spec, keys, draws, "make a record of {} samples", _MAX_RECORD)
 
 
-def _stack(spec: ExperimentSpec, keys: tuple, frames: int, stacks: int = 1) -> int:
-    """Bytes of ``stacks`` stacks, or batch members, of ``frames`` frames, within the cap."""
-    return _capped(spec, ("N", *keys), stacks * frames * (spec["N"] + 1) * 8,
-                   "make a trajectory stack of {} bytes", _MAX_STACK)
-
-
-def _window(m: int, n: int) -> int:
-    """Frames a batch stepped n steps holds: terminal_segments' window of
-    m + 1 + min(n, batch_window(m)) and _sweep's three m-frame blocks."""
-    return 4 * m + 1 + min(n, batch_window(m))
-
-
-def _delay_steps(tau: float, dt: float) -> int:
-    return lattice_steps(tau, dt, "tau (in steps of dt)", minimum=1)  # DelaySolver's rule
+def _stack(spec: ExperimentSpec, keys: tuple, *calls: dict) -> int:
+    """The largest ``stack_bytes(**call)`` of the run's stepping calls on the
+    spec's grid and noise components, within the cap."""
+    held = max((stack_bytes(nodes=spec["N"] + 1, modes=spec["m"], **c) for c in calls), default=0)
+    return _capped(spec, ("N", *keys), held, "make a trajectory stack of {} bytes", _MAX_STACK)
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +266,7 @@ def _smooth_random_field(grid, rng) -> Field:
 
 
 def _plan_semigroup_bounds(spec: ExperimentSpec) -> RunPlan:
-    integer("key 'N'", spec["N"], 2)  # check_bounds' rule
+    bounds_check_cells(spec["N"])
     # 12 uniform draws a field; three linear H a time, scaled for every rate
     draws = _capped(spec, ("fields",), 12 * spec["fields"], _DRAWS)
     return RunPlan(samples=draws, assemblies=3 * len(SEMIGROUP_TIMES))
@@ -430,7 +430,7 @@ def _plan_picard_contraction(spec: ExperimentSpec) -> RunPlan:
     if dt >= spec["horizon_fraction"] * t_star:
         raise ParameterError(f"dt = {dt} must be below the tested horizon "
                              f"{spec['horizon_fraction'] * t_star:.6g}")
-    m = _delay_steps(params.tau, dt)
+    m = delay_steps(params.tau, dt)
     span = spec["horizon_fraction"] * t_star / dt  # inf or NaN where eps * lipschitz overflows
     steps = int(np.floor(_capped(spec, ("mu", "epsilon", "lipschitz", "dt"), span,
                                  "make a contraction horizon of {:.6g} steps", _MAX_RECORD)))
@@ -439,7 +439,7 @@ def _plan_picard_contraction(spec: ExperimentSpec) -> RunPlan:
     draws = _record(spec, ("mu", "dt"), params.m, window, dt)
     # at most ceil(steps / m) + 1 Picard sweeps, then the method-of-steps run
     sweeps = -(-steps // m) + 1
-    stack = _stack(spec, ("mu", "epsilon", "lipschitz", "dt"), m + steps + 1, 2)  # cur and new
+    stack = _stack(spec, ("mu", "epsilon", "lipschitz", "dt"), dict(m=m, n=steps, stacks=2))
     # the two solvers are alive together, so they share their three matrices
     return RunPlan(dict(horizon=horizon, window=window), steps=(sweeps + 1) * steps,
                    samples=draws, assemblies=3, stack=stack)
@@ -480,16 +480,16 @@ def _run_picard_contraction(spec: ExperimentSpec, plan: RunPlan) -> ExperimentRe
 def _plan_cocycle(spec: ExperimentSpec) -> RunPlan:
     params, t, s = spec.model_params(), spec["t"], spec["s"]
     dts = (spec["dt"], spec["dt"] / 2.0)
-    ms = [_delay_steps(params.tau, dt) for dt in dts]
+    ms = [delay_steps(params.tau, dt) for dt in dts]
     window = (-(_s_cut(spec, "dt", dts[1]) + params.tau + 1.0), t + s)
     draws = _record(spec, ("t", "s", "dt"), params.m, window, dts[1])
     steps = 0
-    for dt, m in zip(dts, ms):  # cocycle_residual's t and s; a leg it solves takes a step at least
-        n = [lattice_steps(v, dt, k, minimum=int(v > 0)) for k, v in (("t", t), ("s", s))]
+    for dt, m in zip(dts, ms):
+        n = cocycle_legs(t, s, dt)
         steps += sum(n) * (2 if all(n) else 1)
     # at dt/2: the direct run's window, and the legs' whole stacks if both run
-    frames = max(_window(m, sum(n)) if any(n) else 0, m + max(n) + 1 if all(n) else 0)
-    stack = _stack(spec, ("t", "s", "dt"), frames)
+    calls = [dict(m=m, n=sum(n), batch=1)] * any(n) + [dict(m=m, n=max(n))] * all(n)
+    stack = _stack(spec, ("t", "s", "dt"), *calls)
     # the dt/2 solver is built while the dt one is alive: they share S(dt/2) and Disp
     return RunPlan(dict(dts=dts, window=window), steps=steps, samples=draws, assemblies=4,
                    stack=stack)
@@ -523,18 +523,18 @@ def _plan_absorbing(spec: ExperimentSpec) -> RunPlan:
     if not params.absorbing_condition:
         raise ConditionViolatedError("absorbing-ball condition failed: "
                                      + params.describe_conditions())
-    m = _delay_steps(params.tau, dt)
+    m = delay_steps(params.tau, dt)
     n_times = 5
     times = [t_max * (k + 1) / n_times for k in range(n_times)]
     window = (-(t_max + params.tau + _s_cut(spec, "dt", dt) + 1.0), 0.0)
     draws = spec["paths"] * _record(spec, ("t_max", "dt"), params.m, window, dt)
     decay_lo = -(t_max + params.tau)
     lattice_steps(decay_lo, dt, "t_lo", minimum=None)  # derived_constants' window
-    depths = lattice_steps(times, dt, "pullback time t", minimum=m + 1)
+    depths = pullback_steps(times, dt, m)
     runs = spec["paths"] * spec["segments"] * int(depths.sum())
     # each depth's segments are one batch; the deepest holds the largest window
-    stack = _stack(spec, ("segments", "t_max", "dt"), _window(m, int(depths.max())),
-                   spec["segments"])
+    stack = _stack(spec, ("segments", "t_max", "dt"),
+                   dict(m=m, n=int(depths.max()), batch=spec["segments"]))
     return RunPlan(dict(times=times, window=window, decay_lo=decay_lo),
                    steps=_capped(spec, ("paths", "segments", "t_max", "dt"), runs, _STEPS),
                    samples=_capped(spec, ("paths", "t_max", "dt"), draws, _DRAWS), assemblies=3,
@@ -619,18 +619,15 @@ def _plan_fixed_point(spec: ExperimentSpec) -> RunPlan:
     if not params.contraction_condition:  # it asks for tau < 1 and names tau
         raise ConditionViolatedError("fixed-point contraction gate failed: "
                                      + params.describe_conditions())
-    m = _delay_steps(params.tau, dt)
+    m = delay_steps(params.tau, dt)
     window = (-(horizon + params.tau + _s_cut(spec, "dt", dt) + 2.0), 1.0)
     draws = _record(spec, ("horizon", "dt"), params.m, window, dt)
-    # fixed_point_estimate's unit step and depths 1, 2, ..., horizon: a pair
-    # at each depth, then one run to depth horizon - 1 and one unit advance
-    unit = lattice_steps(1.0, dt, "step", minimum=m + 1)
-    depths = lattice_steps(horizon, 1.0, "horizon", minimum=3)
-    runs = lattice_steps(np.arange(1.0, depths + 1.0), dt, "pullback time t", minimum=m + 1)
-    steps = _capped(spec, ("horizon", "dt"), unit * depths * (depths + 2), _STEPS)
+    # a pair at each depth, then one run to depth horizon - 1 and one unit advance
+    runs = pullback_steps(fixed_point_times(horizon, dt, m), dt, m)
+    steps = _capped(spec, ("horizon", "dt"), 2 * int(runs.sum()) + int(runs[-2] + runs[0]), _STEPS)
     # the lone run is whole; the deepest pair, a batch of two
-    frames = max(m + int(runs[-2]) + 1, 2 * _window(m, int(runs[-1])))
-    stack = _stack(spec, ("horizon", "dt"), frames)
+    stack = _stack(spec, ("horizon", "dt"), dict(m=m, n=int(runs[-2])),
+                   dict(m=m, n=int(runs[-1]), batch=2))
     return RunPlan(dict(window=window), steps=steps, samples=draws, assemblies=3, stack=stack)
 
 
@@ -671,7 +668,7 @@ def _run_fixed_point(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
 def _plan_convergence_study(spec: ExperimentSpec) -> RunPlan:
     params, horizon, dt_ref = spec.model_params(), spec["horizon"], spec["dt_ref"]
     dts = (spec["dt"], spec["dt"] / 2.0, dt_ref)
-    ms = [_delay_steps(params.tau, dt) for dt in dts]
+    ms = [delay_steps(params.tau, dt) for dt in dts]
     for label, dt in zip(("dt", "dt/2"), dts):
         lattice_steps(dt, dt_ref, f"{label} (in steps of dt_ref)", minimum=2)
     # the widest OU window of the three solvers: the reference's wherever the others fit in it
@@ -683,7 +680,7 @@ def _plan_convergence_study(spec: ExperimentSpec) -> RunPlan:
         lattice_steps(dt * (np.arange(m + n + 1) - m), dt_ref, "time", minimum=None)
         steps += n
     # every solve holds all its frames; the reference's, at dt_ref <= dt / 4, are the most
-    stack = _stack(spec, ("horizon", "dt_ref"), m + n + 1)
+    stack = _stack(spec, ("horizon", "dt_ref"), dict(m=m, n=n))
     # three matrices a solver, less the S(dt/2) that is the next solver's S(dt)
     shared = sum(b == a / 2.0 for a, b in zip(dts, dts[1:]))
     return RunPlan(dict(dts=dts, window=window), steps=steps, assemblies=9 - shared, stack=stack)

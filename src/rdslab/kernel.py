@@ -54,8 +54,9 @@ class DispersalKernel:
         self.grid = grid
         self.matrix = shared_matrix(grid, alpha, "linear")
 
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
+    def apply_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The operator on the last axis of ``values``, written to ``out`` if given."""
         values = float_array("values", values)
         if values.shape[-1:] != self.grid.nodes.shape:
             raise ParameterError(f"values shape {values.shape} must end in {self.grid.nodes.shape}")
-        return values @ self.matrix.T
+        return np.matmul(values, self.matrix.T, out=out)

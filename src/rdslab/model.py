@@ -49,8 +49,10 @@ class Nonlinearity:
         positive("lipschitz", self.lipschitz)
         positive("bound", self.bound)
 
-    def value(self, s):
-        return self.bound * np.tanh(self.lipschitz * float_array("s", s) / self.bound)
+    def value(self, s, out=None):
+        """f(s), computed in ``out`` if given (``s`` itself may be it)."""
+        x = np.divide(np.multiply(self.lipschitz, float_array("s", s), out=out), self.bound, out=out)
+        return np.multiply(self.bound, np.tanh(x, out=out), out=out)
 
 
 @dataclass(frozen=True)

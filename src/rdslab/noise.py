@@ -268,14 +268,13 @@ def temperedness_diagnostic(
 
     A tempered driver sends this to zero for every beta > 0; the series is
     the direct observable for that decay along one path.  Also returns the
-    :func:`empirical_decay_bound` of [-horizon, 0], bit for bit, from the same series.
+    :func:`empirical_decay_bound` of [-horizon, 0].
     """
     positive("beta", beta)
     n = lattice_steps(horizon, path.dt_knot, "horizon")
     t = path.dt_knot * np.arange(n + 1)
     z = ou_series(path, p, -t)
-    amp = np.sum(z * z, axis=0)
-    return t, np.exp(-beta * t) * amp, float(np.max(np.exp(-p.mu * t / 2.0) * amp))
+    return t, np.exp(-beta * t) * np.sum(z * z, axis=0), empirical_decay_bound(path, p, -horizon)
 
 
 def empirical_decay_bound(
@@ -354,15 +353,18 @@ def noise_rows(profile_rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     derivatives on the nodes; z (m, n_times) is an :func:`ou_series`.  The
     sum over components is an explicit ordered loop, so every row depends
     only on its own column of z: rows built for different time sets agree
-    bit for bit where the times agree.
+    bit for bit where the times agree.  A term z_j g_j is the one-term
+    product of a column and a row, whose entries are the rounded products,
+    zeros' signs aside; a broadcast product would have the same entries but
+    hold two numpy iterator buffers, each up to the rows' size.
     """
     z = float_array("z", z)
     if z.ndim != 2 or z.shape[0] != profile_rows.shape[0]:
         raise ParameterError(
             f"z has shape {z.shape}, expected ({profile_rows.shape[0]}, n_times) to match profiles"
         )
-    rows = z[0][:, None] * profile_rows[0]
+    rows = np.matmul(z[0][:, None], profile_rows[0][None])
     rows += 0.0  # the bits of a sum started at +0.0, -0.0 included, with no zero-filled buffer
     for j in range(1, z.shape[0]):
-        rows += z[j][:, None] * profile_rows[j]
+        rows += np.matmul(z[j][:, None], profile_rows[j][None])
     return rows

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolatedError, nonnegative
+from .errors import ConditionViolatedError, float_array, nonnegative
 from .grid import Grid, Segment, lattice_steps, segment_co_norm, sup_norm
 from .model import ModelParams
 from .noise import OUParams, WienerPath, default_s_cut, empirical_decay_bound
@@ -146,9 +146,10 @@ def transient_envelope(params: ModelParams, initial_norm: float, t: float) -> fl
 # -- pullback runs -----------------------------------------------------------
 
 
-def _check_pullback_time(solver: DelaySolver, t: float) -> None:
-    """t must exceed tau on the dt lattice."""
-    lattice_steps(t, solver.cfg.dt, "pullback time t", minimum=solver.delay_steps + 1)
+def pullback_steps(t, dt: float, m: int):
+    """Steps of dt in pullback time t, a scalar or an array: whole, and more
+    than the m steps of the delay."""
+    return lattice_steps(t, dt, "pullback time t", minimum=m + 1)
 
 
 def _terminal_segments(
@@ -173,7 +174,7 @@ def pullback_conjugated(
     A sequence of histories is advanced as one batch and gives one
     segment per member, in order.
     """
-    _check_pullback_time(solver, t)
+    pullback_steps(t, solver.cfg.dt, solver.delay_steps)
     return _one_or_all(psi, _terminal_segments(solver, psi, path.shift(-t), t))
 
 
@@ -206,7 +207,7 @@ def pullback_state(
     shifted path, integrates v, and adds the rows back on exit.  A
     sequence of histories is advanced as one batch, one segment per member.
     """
-    _check_pullback_time(solver, t)
+    pullback_steps(t, solver.cfg.dt, solver.delay_steps)
     return _one_or_all(phi, _reconstruct(solver, phi, path.shift(-t), t))
 
 
@@ -225,6 +226,12 @@ def _co_distance(a: Segment, b: Segment) -> float:
     return segment_co_norm(Segment(a.grid, a.tau, a.dt, a.values - b.values))
 
 
+def cocycle_legs(t: float, s: float, dt: float) -> list[int]:
+    """Steps of dt in the legs t and s of :func:`cocycle_residual`: whole,
+    and at least one in a leg it solves, a positive one."""
+    return [lattice_steps(v, dt, k, minimum=int(float_array(k, v) > 0)) for k, v in zip("ts", (t, s))]
+
+
 def cocycle_residual(
     solver: DelaySolver, psi: Segment, path: WienerPath, t: float, s: float
 ) -> tuple[float, float]:
@@ -239,8 +246,7 @@ def cocycle_residual(
     legs in whole stacks, so the residual also pins the window to the
     stack.  The sup norm tells apart runs the zero residual cannot.
     """
-    for name, val in (("t", t), ("s", s)):
-        lattice_steps(val, solver.cfg.dt, name)
+    cocycle_legs(t, s, solver.cfg.dt)
     direct = solver.terminal_segments([psi], path, s + t)[0] if s + t > 0.0 else psi
     direct_sup = sup_norm(direct.frame(direct.n_frames - 1))
     if t == 0.0 or s == 0.0:
@@ -276,6 +282,14 @@ def _fit_unit_factor(times: np.ndarray, dists: np.ndarray) -> float:
     return float(np.exp(slope))
 
 
+def fixed_point_times(horizon: float, dt: float, m: int) -> np.ndarray:
+    """The pullback times 1, 2, ..., horizon of :func:`fixed_point_estimate`:
+    three units at least, each a pullback time at m steps of dt per delay."""
+    times = np.arange(1.0, lattice_steps(horizon, 1.0, "horizon", minimum=3) + 1.0)
+    pullback_steps(times, dt, m)
+    return times
+
+
 def fixed_point_estimate(
     solver: DelaySolver,
     phi1: Segment,
@@ -302,9 +316,7 @@ def fixed_point_estimate(
             "stationary-state convergence not guaranteed: "
             + solver.params.describe_conditions()
         )
-    lattice_steps(1.0, solver.cfg.dt, "step", minimum=solver.delay_steps + 1)
-    count = lattice_steps(horizon, 1.0, "horizon", minimum=3)
-    times = np.arange(1.0, count + 1.0)
+    times = fixed_point_times(horizon, solver.cfg.dt, solver.delay_steps)
     # One batch per depth: both histories share the path and the horizon.
     segs1, segs2 = zip(*(pullback_state(solver, [phi1, phi2], path, t) for t in times))
     pair = np.array([_co_distance(a, b) for a, b in zip(segs1, segs2)])

@@ -40,6 +40,12 @@ from .quadrature import operator_matrix, shared_matrix
 __all__ = ["DirichletHeatSemigroup"]
 
 
+def bounds_check_cells(n_cells: int) -> int:
+    """``n_cells``, if :meth:`DirichletHeatSemigroup.check_bounds` can take
+    its second differences: N >= 2, so three nodes."""
+    return integer("bounds check cells N", n_cells, 2)
+
+
 class DirichletHeatSemigroup:
     """Dense propagator matrices on a fixed grid; the killing rate mu is an
     argument of each call."""
@@ -85,7 +91,7 @@ class DirichletHeatSemigroup:
         Each time s holds one H(s) while every rate scales a copy of it.
         """
         positive("bounds check time t", t)
-        integer("bounds check cells N", self.grid.n_cells, 2)  # a second difference takes 3 nodes
+        bounds_check_cells(self.grid.n_cells)
         dx = self.grid.dx
         h = t * 1e-3
         products = [[] for _ in rates]  # [rate][time][field]

@@ -49,9 +49,11 @@ started.  Only S(dt) runs frame by frame, as each step needs the last
 frame.  B sets the row count and so may move a member's last bits: batch
 composition must follow from the config alone, never scheduling.
 A solve holds that stack and nothing else of its horizon's size: the OU
-values are a few numbers per frame, and a block's rows live for the
-block.  A :class:`Trajectory`'s terminal segment is a copy, so a caller
-that keeps only it frees the stack with the trajectory, and
+values are a few numbers per frame, a block's rows live for the block,
+and the kernel fills two (m, B, nodes) block buffers in place, allocated
+once a call; :func:`stack_bytes` counts all of it.  A
+:class:`Trajectory`'s terminal segment is a copy, so a caller that keeps
+only it frees the stack with the trajectory, and
 :meth:`DelaySolver.terminal_segments` never builds the stack: it steps
 the same blocks, with the same bits, in a window of a few delay blocks.
 
@@ -178,14 +180,35 @@ def picard_gain(params: ModelParams, horizon: float) -> float:
     return params.feedback_lipschitz / params.mu * (1.0 - math.exp(-params.mu * horizon))
 
 
+def delay_steps(tau: float, dt: float) -> int:
+    """Solver steps per delay, tau / dt: a whole number, at least one."""
+    return lattice_steps(tau, dt, "tau (in steps of dt)", minimum=1)
+
+
 def batch_window(m: int) -> int:
     """Steps per window of terminal_segments at m steps per delay: k m, k = ceil(64 / m)."""
     return m * -(-_WINDOW_STEPS // m)
 
 
-def _feedback(params: ModelParams, kernel: DispersalKernel, arg) -> np.ndarray:
-    """eps * Disp[f(arg)] along the last axis, for any batch shape."""
-    return params.epsilon * kernel.apply_values(params.nonlinearity.value(arg))
+def stack_bytes(m: int, n: int, nodes: int, modes: int, batch: int = 0, stacks: int = 1) -> int:
+    """Bytes of the arrays a stepping call holds while its kernel runs, for n
+    steps at m steps per delay, on ``nodes`` nodes and ``modes`` noise
+    components: ``stacks`` whole stacks of m + n + 1 frames of one history
+    (solve 1, picard_solve 2) or, for a batch of ``batch`` histories,
+    terminal_segments' window of m + 1 + min(n, batch_window(m)) frames; the
+    OU values of the m + n + 1 frame times; and _sweep's two (m, batch,
+    nodes) block buffers, with a block's (m, nodes) noise rows and the term
+    being added to them.  The buffers are counted batch wide even without
+    feedback, where they are one history wide."""
+    frames = batch * (m + 1 + min(n, batch_window(m))) if batch else stacks * (m + n + 1)
+    return 8 * ((frames + 2 * m * (max(batch, 1) + 1)) * nodes + modes * (m + n + 1))
+
+
+def _feedback(params: ModelParams, kernel: DispersalKernel, arg, out=None) -> np.ndarray:
+    """eps * Disp[f(arg)] along the last axis, for any batch shape, written to
+    ``out`` if given; f runs in place on arg."""
+    f = params.nonlinearity.value(arg, out=arg)
+    return np.multiply(params.epsilon, kernel.apply_values(f, out=out), out=out)
 
 
 def evaluate_feedback(
@@ -206,8 +229,8 @@ def evaluate_feedback(
         raise ParameterError("delayed_field and delayed_noise grids differ")
     if kernel is None:
         kernel = DispersalKernel(params.alpha, delayed_field.grid)
-    feedback = _feedback(params, kernel, delayed_field.values + delayed_noise.values)
-    return Field(delayed_field.grid, feedback)
+    arg = delayed_field.values + delayed_noise.values
+    return Field(delayed_field.grid, _feedback(params, kernel, arg))
 
 
 class DelaySolver:
@@ -222,7 +245,7 @@ class DelaySolver:
 
     def __init__(self, grid: Grid, params: ModelParams, cfg: SolverConfig):
         self.grid, self.params, self.cfg = grid, params, cfg
-        self.delay_steps = lattice_steps(params.tau, cfg.dt, "tau (in steps of dt)", minimum=1)
+        self.delay_steps = delay_steps(params.tau, cfg.dt)
         if cfg.mode == "picard":
             upper = contraction_interval(params)
             if upper is not None and cfg.dt >= upper:
@@ -297,21 +320,32 @@ class DelaySolver:
         (m, B, nodes) stack, zero where the block is cut, and f, Disp and
         S(dt/2) run once on it as one (m B)-row product; only S(dt) runs
         frame by frame.  Without feedback the members share the rows: B is 1.
+        Two such stacks, allocated once a call, serve every block: the
+        forcing, and g, which holds the feedback argument (f runs on it in
+        place), then the Laplacian rows, then the S(dt/2) product.
         """
         m, dt, n = self.delay_steps, self.cfg.dt, out.shape[0] - self.delay_steps - 1
         full, half, p = self._step_full.T, self._step_half.T, self.params
         feedback = p.epsilon != 0.0
         shape = (m, out.shape[1] if feedback else 1, out.shape[2])
+        force, g = np.empty(shape), np.empty(shape)
+        flat_force, flat_g = force.reshape(-1, shape[2]), g.reshape(-1, shape[2])
         for k0 in range(-phase, n, m):
             a, k1 = max(k0, 0), min(k0 + m, n)
-            rows = slice(a - k0, k1 - k0)
-            force = np.zeros(shape)
-            force[rows] = self.field_rows(z[:, a + m : k1 + m], laplacian=True)[:, None]
+            lo, hi = a - k0, k1 - k0
+            # rows reach the members by assignment, not by a broadcast sum,
+            # for which numpy would hold iterator buffers
             if feedback:
-                arg = np.zeros(shape)
-                np.add(delayed[a:k1], self.field_rows(z[:, a:k1])[:, None], out=arg[rows])
-                force += _feedback(p, self.dispersal, arg.reshape(-1, shape[2])).reshape(shape)
-            g = (dt * (force.reshape(-1, shape[2]) @ half)).reshape(shape)
+                g[:lo] = g[hi:] = 0.0
+                g[lo:hi] = self.field_rows(z[:, a:k1])[:, None]
+                g[lo:hi] += delayed[a:k1]
+                _feedback(p, self.dispersal, flat_g, flat_force)
+            else:  # 0 + x is x: the rows hold no -0.0
+                force.fill(0.0)
+            g[lo:hi] = self.field_rows(z[:, a + m : k1 + m], laplacian=True)[:, None]
+            force[lo:hi] += g[lo:hi]
+            np.matmul(flat_force, half, out=flat_g)
+            g *= dt
             for k in range(a, k1):
                 row = out[k + m + 1]
                 np.dot(out[k + m], full, out=row)

@@ -10,10 +10,16 @@ from pathlib import Path
 
 import pytest
 
+from rdslab import config
 from rdslab.cli import main
 from rdslab.config import EXPERIMENTS, config_template, parse_config
 from rdslab.errors import ConditionViolatedError, ParameterError
-from rdslab.experiments import plan_experiment, run_experiment
+from rdslab.experiments import SEMIGROUP_RATES, SEMIGROUP_TIMES, plan_experiment, run_experiment
+from rdslab.grid import Field, Segment
+from rdslab.noise import zero_wiener
+from rdslab.pullback import cocycle_residual, fixed_point_estimate, pullback_conjugated
+from rdslab.semigroup import DirichletHeatSemigroup
+from rdslab.solver import DelaySolver, SolverConfig
 
 VALID_KERNEL = """
 experiment = kernel-bound
@@ -302,21 +308,28 @@ def test_record_cap_counts_the_record_the_run_samples():
 
 def test_stack_cap_is_the_largest_trajectory_stack_a_run_may_hold():
     # fixed-point's lone run to depth horizon - 1 holds every frame: 2 horizon
-    # frames at dt = tau = 0.5, so horizon = 16,384 fills 2^30 bytes at N = 4,095
+    # frames of N + 1 = 4,096 doubles at dt = tau = 0.5, beside the kernel's two
+    # one-frame block buffers, a noise row and its term, and 2 horizon OU
+    # values: 8 (4,096 (2 horizon + 4) + 2 horizon) bytes, so horizon = 16,378
+    # is the largest whose run fits in 2^30 bytes
     text = "experiment = fixed-point\nseed = 1\nN = 4095\ndt = 0.5\ntau = 0.5\nhorizon = {}\n"
-    assert plan_experiment(parse_config(text.format(16384))).stack == 2**30
-    with pytest.raises(ParameterError, match="N = 4095, horizon = 16385.0 and dt = 0.5 make a "
-                                             "trajectory stack of 1073807360 bytes, more than "
+    assert plan_experiment(parse_config(text.format(16378))).stack == 2**30 - 96
+    with pytest.raises(ParameterError, match="N = 4095, horizon = 16379.0 and dt = 0.5 make a "
+                                             "trajectory stack of 1073807280 bytes, more than "
                                              "1073741824"):
-        parse_config(text.format(16385))
+        parse_config(text.format(16379))
 
+
+# one unit is 20 - 6e-10 steps of dt, on the lattice; two units are not
+FIXED_POINT_DEPTH = ("experiment = fixed-point\nN = 4\nhorizon = 3.00000000009\n"
+                     "dt = 0.050000000001500004\ntau = 0.050000000030000005\n")
 
 # Configs (at seed 7) that validate passed and run then stopped with exit 2,
 # each with the value run named, or with a traceback (the first two), a
 # count with no cap, and a stack with no cap; validate now stops each,
-# naming that value.
+# naming that value.  The last two name a noise lattice and a cocycle leg.
 RUN_PLAN_CONFIGS = (
-    ("experiment = semigroup-bounds\nN = 1\n", "key 'N' must be at least 2, got 1"),
+    ("experiment = semigroup-bounds\nN = 1\n", "bounds check cells N must be at least 2, got 1"),
     ("experiment = picard-contraction\nlipschitz = 1.7976931348623157e308\n",
      "make a contraction horizon of nan steps"),
     ("experiment = cocycle\nt = 0.333\n", "t_hi 1.333 is off the lattice of step 0.005"),
@@ -333,17 +346,17 @@ RUN_PLAN_CONFIGS = (
      "t_lo -46.599999999999994 is off the lattice of step 0.7"),
     ("experiment = fixed-point\ndt = 0.3\ntau = 0.6\nmu = 10\n",
      "t_hi 1.0 is off the lattice of step 0.3"),
-    # one unit is 20 - 6e-10 steps of dt, on the lattice; two units are not
-    ("experiment = fixed-point\nN = 4\nhorizon = 3.00000000009\ndt = 0.050000000001500004\n"
-     "tau = 0.050000000030000005\n", "pullback time t 2.0 is off the lattice of step 0.05"),
+    (FIXED_POINT_DEPTH, "pullback time t 2.0 is off the lattice of step 0.05"),
     ("experiment = kernel-bound\ntrials = 100000000000000000000\n",
      "trials = 100000000000000000000 and N = 200 make"),
     # its first solve alone would take 2.06 GiB, its reference 16.5 GiB
     ("experiment = convergence-study\nN = 4095\nhorizon = 2700\n",
-     "N = 4095, horizon = 2700.0 and dt_ref = 0.005 make a trajectory stack of 17696063488 bytes"),
-    # each depth's batch: a window of 81 frames and three blocks of 10 frames, 10,000 histories wide
+     "N = 4095, horizon = 2700.0 and dt_ref = 0.005 make a trajectory stack of 17705626696 bytes"),
+    # each depth's batch: a window of 81 frames and two 10-frame block buffers, 10,000 histories wide
     ("experiment = absorbing\nN = 4095\nsegments = 10000\n",
-     "N = 4095, segments = 10000, t_max = 10.0 and dt = 0.025 make a trajectory stack of 36372480000 bytes"),
+     "N = 4095, segments = 10000, t_max = 10.0 and dt = 0.025 make a trajectory stack of 33096338648 bytes"),
+    ("experiment = ou-stats\ndt_path = 0.3\npaths = 3\n", "time 1.0 is off the lattice of step 0.3"),
+    ("experiment = cocycle\ns = 1e-12\n", "s 1e-12 is below 1 steps of 0.01"),
 )
 
 
@@ -352,6 +365,63 @@ def test_validate_makes_the_runs_lattice_and_size_decisions(tmp_path, capsys, te
     cfg = _write(tmp_path, "p.cfg", text + "seed = 7\n")
     assert main(["validate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def _parsed_without_plan(text: str, monkeypatch):
+    """The spec a config parses to before its run plan is made."""
+    with monkeypatch.context() as patch:
+        patch.setattr(config, "plan_experiment", lambda spec: None)
+        return parse_config(text + "seed = 7\n")
+
+
+def _solver_history_path(spec):
+    """The spec's solver, a zero history and a zero path of a step each way,
+    which no rule below reaches."""
+    params, dt = spec.model_params(), spec["dt"]
+    solver = DelaySolver(spec.grid(), params, SolverConfig(dt))
+    psi = Segment.constant(Field.zero(spec.grid()), params.tau, dt)
+    return solver, psi, zero_wiener(params.m, -dt, dt, dt)
+
+
+def _bounds_check(spec):
+    grid = spec.grid()
+    DirichletHeatSemigroup(grid).check_bounds([Field.zero(grid)], SEMIGROUP_TIMES[0], SEMIGROUP_RATES)
+
+
+def _cocycle(spec):
+    solver, psi, path = _solver_history_path(spec)
+    cocycle_residual(solver, psi, path, spec["t"], spec["s"])
+
+
+def _first_pullback(spec):
+    solver, psi, path = _solver_history_path(spec)
+    pullback_conjugated(solver, [psi], path, spec["t_max"] * 1 / 5)  # the plan's first depth
+
+
+def _fixed_point(spec):
+    solver, psi, path = _solver_history_path(spec)
+    fixed_point_estimate(solver, psi, psi, path, spec["horizon"])
+
+
+# (config, the library call that applies the same rule to the same values at run time)
+PARITY_CONFIGS = (
+    ("experiment = semigroup-bounds\nN = 1\n", _bounds_check),
+    ("experiment = cocycle\ns = 1e-12\n", _cocycle),
+    ("experiment = absorbing\nt_max = 0.1\npaths = 1\n", _first_pullback),
+    (FIXED_POINT_DEPTH, _fixed_point),
+    ("experiment = fixed-point\ndt = 0.04\ntau = 0.5\n", _fixed_point),
+)
+
+
+@pytest.mark.parametrize("text, library", PARITY_CONFIGS)
+def test_validate_and_the_library_word_a_rule_alike(tmp_path, capsys, monkeypatch, text, library):
+    # each rule has one definition, which both the run plan and the library call
+    cfg = _write(tmp_path, "p.cfg", text + "seed = 7\n")
+    assert main(["validate", "--config", cfg]) == 2
+    spec = _parsed_without_plan(text, monkeypatch)
+    with pytest.raises(ParameterError) as err:
+        library(spec)
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def _benchmark_configs() -> list[str]:

@@ -313,7 +313,7 @@ def test_fixed_point_horizon_must_be_a_whole_number_of_steps():
     # pullback depths are whole time units, so dt must divide 1
     coarse = DelaySolver(GRID, ModelParams(mu=3.0, epsilon=1.0, alpha=1.0, tau=0.3), SolverConfig(0.3))
     phi = Segment.constant(Field.zero(GRID), 0.3, 0.3)
-    with pytest.raises(ParameterError, match="step 1.0 is off the lattice of step 0.3"):
+    with pytest.raises(ParameterError, match="pullback time t 1.0 is off the lattice of step 0.3"):
         fixed_point_estimate(coarse, phi, phi, path, 3.0)
 
 

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from rdslab.config import parse_config
 from rdslab.errors import ParameterError, WindowExhaustedError
+from rdslab.experiments import plan_experiment
 from rdslab.grid import Field, Segment, make_grid, sup_norm
 from rdslab.kernel import DispersalKernel
 from rdslab.model import ModelParams
 from rdslab.noise import NoiseProfiles, noise_rows, ou_series, sample_wiener, zero_wiener
-from rdslab.pullback import advance_state
+from rdslab.pullback import advance_state, pullback_conjugated
 from rdslab.semigroup import DirichletHeatSemigroup
 import rdslab.solver
 from rdslab.solver import (
@@ -393,6 +395,22 @@ def test_terminal_segments_hold_a_window_not_the_horizon():
     assert stack >= ou + 0.9 * states
 
 
+@pytest.mark.parametrize("batch", [1, 40])
+@pytest.mark.parametrize("depth", [2, 10])
+def test_a_batch_holds_at_most_the_stack_its_plan_counts(batch, depth):
+    # absorbing's grid and delay, N = 200 and m = 10 steps: the plan counts its
+    # deepest batch, the one measured here with the record's OU series made
+    spec = parse_config(f"experiment = absorbing\nseed = 7\nsegments = {batch}\nt_max = {depth}\n")
+    plan, params, dt = plan_experiment(spec), spec.model_params(), spec["dt"]
+    solver = DelaySolver(spec.grid(), params, SolverConfig(dt))
+    assert (spec["N"], solver.delay_steps) == (200, 10)
+    path = sample_wiener(params.m, *plan["window"], dt, 7)
+    solver.noise_series(path, 0.0)
+    shapes = [lambda xi, x, j=j: x * np.exp(-x) * (1.0 + j) for j in range(batch)]
+    psis = [Segment.from_function(spec.grid(), params.tau, dt, shape) for shape in shapes]
+    assert _peak_bytes(lambda: pullback_conjugated(solver, psis, path, float(depth))) <= plan.stack
+
+
 # ------------------------------------------------------------- picard mode
 
 
@@ -590,9 +608,9 @@ def test_restart_at_every_phase_continues_the_run_bit_for_bit(b, monkeypatch):
     products = []
     apply = DispersalKernel.apply_values
 
-    def record(kernel, values):
+    def record(kernel, values, out=None):
         products.append(values.shape)
-        return apply(kernel, values)
+        return apply(kernel, values, out)
 
     monkeypatch.setattr(DispersalKernel, "apply_values", record)
     for path in (base, base.shift(-7 * dt)):
