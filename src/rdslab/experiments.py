@@ -55,7 +55,7 @@ from .pullback import (
 from .quadrature import erf
 from .semigroup import DirichletHeatSemigroup, bounds_check_cells
 from .solver import (PICARD_TOL, DelaySolver, SolverConfig, contraction_interval, delay_steps,
-                     picard_gain, stack_bytes)
+                     frame_times, horizon_steps, picard_gain, picard_sweeps, stack_bytes)
 
 if TYPE_CHECKING:
     from .config import ExperimentSpec
@@ -437,12 +437,11 @@ def _plan_picard_contraction(spec: ExperimentSpec) -> RunPlan:
     horizon = steps * dt
     window = (-_s_cut(spec, "dt", dt) - params.tau, horizon)
     draws = _record(spec, ("mu", "dt"), params.m, window, dt)
-    # at most ceil(steps / m) + 1 Picard sweeps, then the method-of-steps run
-    sweeps = -(-steps // m) + 1
     stack = _stack(spec, ("mu", "epsilon", "lipschitz", "dt"), dict(m=m, n=steps, stacks=2))
-    # the two solvers are alive together, so they share their three matrices
-    return RunPlan(dict(horizon=horizon, window=window), steps=(sweeps + 1) * steps,
-                   samples=draws, assemblies=3, stack=stack)
+    # the Picard sweeps, then the method-of-steps run; the two solvers are
+    # alive together, so they share their three matrices
+    return RunPlan(dict(horizon=horizon, window=window), samples=draws, assemblies=3, stack=stack,
+                   steps=(picard_sweeps(steps, m) + 1) * steps)
 
 
 def _run_picard_contraction(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -676,14 +675,16 @@ def _plan_convergence_study(spec: ExperimentSpec) -> RunPlan:
     _record(spec, ("horizon", "dt_ref"), params.m, window, dt_ref)
     steps = 0
     for dt, m in zip(dts, ms):  # a solver reads the path at its frame times -tau .. horizon
-        n = lattice_steps(horizon, dt, "horizon", minimum=1)
-        lattice_steps(dt * (np.arange(m + n + 1) - m), dt_ref, "time", minimum=None)
+        n = horizon_steps(horizon, dt)
+        lattice_steps(frame_times(dt, m, n), dt_ref, "time", minimum=None)
         steps += n
     # every solve holds all its frames; the reference's, at dt_ref <= dt / 4, are the most
     stack = _stack(spec, ("horizon", "dt_ref"), dict(m=m, n=n))
-    # three matrices a solver, less the S(dt/2) that is the next solver's S(dt)
-    shared = sum(b == a / 2.0 for a, b in zip(dts, dts[1:]))
-    return RunPlan(dict(dts=dts, window=window), steps=steps, assemblies=9 - shared, stack=stack)
+    # a solver's S(dt/2) that is the next solver's S(dt) is carried to it:
+    # three matrices a solver, less the carried ones
+    carries = tuple(b == a / 2.0 for a, b in zip(dts, dts[1:])) + (False,)
+    return RunPlan(dict(dts=dts, carries=carries, window=window), steps=steps,
+                   assemblies=9 - sum(carries), stack=stack)
 
 
 def _run_convergence_study(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
@@ -697,13 +698,13 @@ def _run_convergence_study(spec: ExperimentSpec, plan: RunPlan) -> ExperimentRes
     path = zero_wiener(params.m, *plan["window"], dts[-1])
     psi_fn = lambda xi, x: x * np.exp(-x) * (1.0 + 0.5 * np.sin(3.0 * xi))
     terminals = []
-    for dt, after in zip(dts, dts[1:] + (None,)):
+    for dt, carry in zip(dts, plan["carries"]):
         solver = DelaySolver(grid, params, SolverConfig(dt))
         carried = None  # the solver now holds it
         psi = Segment.from_function(grid, params.tau, dt, psi_fn)
         terminals.append(solver.solve(psi, path, horizon).values[-1].copy())
-        if after == dt / 2.0:  # this S(dt/2) is the next solver's S(dt): keep it alone
-            carried = solver.semigroup.operator(after, params.mu)
+        if carry:  # this S(dt/2) is the next solver's S(dt): keep it alone
+            carried = solver.semigroup.operator(dt / 2.0, params.mu)
         del solver  # free this solver's other N = 800 matrices before the next is built
     errors = [float(np.max(np.abs(term - terminals[-1]))) for term in terminals[:2]]
     ratio = errors[0] / errors[1] if errors[1] > 0 else float("inf")

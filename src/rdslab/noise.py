@@ -268,13 +268,14 @@ def temperedness_diagnostic(
 
     A tempered driver sends this to zero for every beta > 0; the series is
     the direct observable for that decay along one path.  Also returns the
-    :func:`empirical_decay_bound` of [-horizon, 0].
+    :func:`empirical_decay_bound` of [-horizon, 0], from the same sums: its
+    columns in reverse order, at times -(dt k) == dt (-k).
     """
     positive("beta", beta)
     n = lattice_steps(horizon, path.dt_knot, "horizon")
     t = path.dt_knot * np.arange(n + 1)
-    z = ou_series(path, p, -t)
-    return t, np.exp(-beta * t) * np.sum(z * z, axis=0), empirical_decay_bound(path, p, -horizon)
+    amp = np.sum(np.square(ou_series(path, p, -t)), axis=0)
+    return t, np.exp(-beta * t) * amp, float(np.max(np.exp(-p.mu * t / 2.0) * amp))
 
 
 def empirical_decay_bound(

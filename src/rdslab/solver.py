@@ -185,6 +185,22 @@ def delay_steps(tau: float, dt: float) -> int:
     return lattice_steps(tau, dt, "tau (in steps of dt)", minimum=1)
 
 
+def horizon_steps(horizon: float, dt: float) -> int:
+    """Solver steps of a run's horizon: a whole number, at least one."""
+    return lattice_steps(horizon, dt, "horizon", minimum=1)
+
+
+def frame_times(dt: float, m: int, n: int) -> np.ndarray:
+    """The frame times dt (k - m), k = 0 .. m + n, of a run of n steps at m per delay."""
+    return dt * (np.arange(m + n + 1) - m)
+
+
+def picard_sweeps(n: int, m: int) -> int:
+    """picard_solve's sweeps at most for n steps at m per delay: the change is
+    exactly 0 by ceil(n / m) + 1 sweeps, and the cap is 50 sweeps."""
+    return min(-(-n // m) + 1, _PICARD_MAX_SWEEPS)
+
+
 def batch_window(m: int) -> int:
     """Steps per window of terminal_segments at m steps per delay: k m, k = ceil(64 / m)."""
     return m * -(-_WINDOW_STEPS // m)
@@ -281,7 +297,7 @@ class DelaySolver:
                 raise ParameterError(f"initial segment tau = {psi.tau} differs from model tau")
             psi.require_dirichlet("initial segment")
         knots = lattice_steps(self.cfg.dt, path.dt_knot, "solver dt (in path steps)", minimum=1)
-        n = lattice_steps(horizon, self.cfg.dt, "horizon", minimum=1)
+        n = horizon_steps(horizon, self.cfg.dt)
         out = np.empty((m + min(n, steps or n) + 1, len(psis), self.grid.n_cells + 1))
         for b, psi in enumerate(psis):
             out[: m + 1, b] = psi.values
@@ -293,9 +309,8 @@ class DelaySolver:
         A value depends only on the base index of its time, so values read
         on any shift of the path agree bit for bit.
         """
-        m, n_steps = self.delay_steps, lattice_steps(horizon, self.cfg.dt, "horizon")
-        times = self.cfg.dt * (np.arange(m + n_steps + 1) - m)
-        return ou_series(path, self.ou_params, times)
+        n = lattice_steps(horizon, self.cfg.dt, "horizon")
+        return ou_series(path, self.ou_params, frame_times(self.cfg.dt, self.delay_steps, n))
 
     def field_rows(self, z: np.ndarray, laplacian: bool = False) -> np.ndarray:
         """Noise field rows sum_j z_j g_j, or the Laplacian rows with g_j'',
@@ -390,15 +405,17 @@ class DelaySolver:
         Each sweep rebuilds the whole trajectory, reading delayed values
         from the previous sweep; the sup-norm change between sweeps is the
         contraction observable.  Delayed values become exact on a region
-        growing by tau per sweep, so the iteration terminates with change
-        exactly zero after ceil(horizon/tau) + 1 sweeps at the latest.
+        growing by tau per sweep, so the change is exactly zero by sweep
+        ceil(horizon/tau) + 1.  The iteration stops at the first change of
+        at most PICARD_TOL, or after :func:`picard_sweeps` sweeps: sweep
+        ceil(horizon/tau) + 1 or sweep 50, whichever comes first.
         """
         m = self.delay_steps
         cur, phase = self._frames([psi], path, horizon)
         cur[m + 1 :] = psi.values[-1]
         z = self.noise_series(path, horizon)
         changes: list[float] = []
-        for _ in range(_PICARD_MAX_SWEEPS):
+        for _ in range(picard_sweeps(cur.shape[0] - m - 1, m)):
             new = cur.copy()
             self._sweep(new, cur, z, phase)
             # the previous sweep is spent: its frames take the change in place,

@@ -403,6 +403,11 @@ def _fixed_point(spec):
     fixed_point_estimate(solver, psi, psi, path, spec["horizon"])
 
 
+def _convergence_solve(spec):
+    solver, psi, path = _solver_history_path(spec)
+    solver.solve(psi, path, spec["horizon"])  # the first solver's run
+
+
 # (config, the library call that applies the same rule to the same values at run time)
 PARITY_CONFIGS = (
     ("experiment = semigroup-bounds\nN = 1\n", _bounds_check),
@@ -410,6 +415,7 @@ PARITY_CONFIGS = (
     ("experiment = absorbing\nt_max = 0.1\npaths = 1\n", _first_pullback),
     (FIXED_POINT_DEPTH, _fixed_point),
     ("experiment = fixed-point\ndt = 0.04\ntau = 0.5\n", _fixed_point),
+    ("experiment = convergence-study\nhorizon = 0.03\nN = 50\n", _convergence_solve),
 )
 
 

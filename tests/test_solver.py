@@ -19,6 +19,7 @@ from rdslab.model import ModelParams
 from rdslab.noise import NoiseProfiles, noise_rows, ou_series, sample_wiener, zero_wiener
 from rdslab.pullback import advance_state, pullback_conjugated
 from rdslab.semigroup import DirichletHeatSemigroup
+import rdslab.experiments
 import rdslab.solver
 from rdslab.solver import (
     PICARD_TOL,
@@ -442,6 +443,23 @@ def test_picard_exact_after_enough_sweeps():
     traj, report = picard.picard_solve(psi, path, horizon)
     assert report.iterations <= int(np.ceil(horizon / params.tau)) + 1
     assert report.changes[-1] == 0.0
+
+
+def test_the_plan_and_picard_solve_read_one_sweep_bound(monkeypatch):
+    # one definition, which the plan's work count and the solve's sweep loop
+    # both call: bound it below the 4 sweeps the defaults take, and both follow
+    assert rdslab.experiments.picard_sweeps is rdslab.solver.picard_sweeps
+    for module in (rdslab.solver, rdslab.experiments):
+        monkeypatch.setattr(module, "picard_sweeps", lambda n, m: 2)
+    spec = parse_config("experiment = picard-contraction\nseed = 7\n")
+    plan = plan_experiment(spec)
+    params, dt = spec.model_params(), spec["dt"]
+    assert plan.steps == (2 + 1) * round(plan["horizon"] / dt)
+    solver = DelaySolver(spec.grid(), params, SolverConfig(dt, mode="picard"))
+    psi = Segment.from_function(spec.grid(), params.tau, dt, lambda xi, x: x * np.exp(-x))
+    path = sample_wiener(params.m, *plan["window"], dt, 7)
+    _, report = solver.picard_solve(psi, path, plan["horizon"])
+    assert report.iterations == 2 and report.changes[-1] > PICARD_TOL
 
 
 def test_picard_trajectory_equals_steps_bit_for_bit():
