@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError, integer, nonnegative, positive
 from .experiments import plan_experiment
-from .grid import Grid, make_grid
+from .grid import Grid
 from .model import ModelParams, Nonlinearity
 from .noise import NoiseProfiles
 
@@ -111,7 +111,7 @@ class ExperimentSpec:
         return self.values[key]
 
     def grid(self) -> Grid:
-        return make_grid(self.values["L"], self.values["N"])
+        return Grid(self.values["L"], self.values["N"])
 
     def model_params(self) -> ModelParams:
         v = self.values

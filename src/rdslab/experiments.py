@@ -230,7 +230,7 @@ def _run_kernel_bound(spec: ExperimentSpec, plan: RunPlan) -> ExperimentResult:
     # The truncation to [0, L] makes the outer half of the grid
     # artificial (mass leaks past L); compare against the closed form on
     # the trustworthy inner half and report the quantified leak.
-    inner = grid.nodes <= grid.length / 2.0 + 1e-12
+    inner = slice(grid.last_node(grid.length / 2.0) + 1)
     unit = op.apply_values(np.ones(grid.nodes.size))
     exact = erf(grid.nodes / (2.0 * np.sqrt(alpha)))
     erf_err = float(np.max(np.abs(unit[inner] - exact[inner])))
@@ -482,12 +482,12 @@ def _plan_cocycle(spec: ExperimentSpec) -> RunPlan:
     ms = [delay_steps(params.tau, dt) for dt in dts]
     window = (-(_s_cut(spec, "dt", dts[1]) + params.tau + 1.0), t + s)
     draws = _record(spec, ("t", "s", "dt"), params.m, window, dts[1])
-    steps = 0
+    steps, calls = 0, []
     for dt, m in zip(dts, ms):
         n = cocycle_legs(t, s, dt)
         steps += sum(n) * (2 if all(n) else 1)
-    # at dt/2: the direct run's window, and the legs' whole stacks if both run
-    calls = [dict(m=m, n=sum(n), batch=1)] * any(n) + [dict(m=m, n=max(n))] * all(n)
+        # the direct run's window, and the legs' whole stacks if both run
+        calls += [dict(m=m, n=sum(n), batch=1)] * any(n) + [dict(m=m, n=max(n))] * all(n)
     stack = _stack(spec, ("t", "s", "dt"), *calls)
     # the dt/2 solver is built while the dt one is alive: they share S(dt/2) and Disp
     return RunPlan(dict(dts=dts, window=window), steps=steps, samples=draws, assemblies=4,
@@ -673,13 +673,13 @@ def _plan_convergence_study(spec: ExperimentSpec) -> RunPlan:
     # the widest OU window of the three solvers: the reference's wherever the others fit in it
     window = (-(max(_s_cut(spec, "dt_ref", dt) for dt in dts[::-1]) + params.tau), horizon)
     _record(spec, ("horizon", "dt_ref"), params.m, window, dt_ref)
-    steps = 0
+    steps, calls = 0, []
     for dt, m in zip(dts, ms):  # a solver reads the path at its frame times -tau .. horizon
         n = horizon_steps(horizon, dt)
         lattice_steps(frame_times(dt, m, n), dt_ref, "time", minimum=None)
         steps += n
-    # every solve holds all its frames; the reference's, at dt_ref <= dt / 4, are the most
-    stack = _stack(spec, ("horizon", "dt_ref"), dict(m=m, n=n))
+        calls.append(dict(m=m, n=n))  # every solve holds all its frames
+    stack = _stack(spec, ("horizon", "dt_ref"), *calls)
     # a solver's S(dt/2) that is the next solver's S(dt) is carried to it:
     # three matrices a solver, less the carried ones
     carries = tuple(b == a / 2.0 for a, b in zip(dts, dts[1:])) + (False,)

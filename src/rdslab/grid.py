@@ -73,49 +73,40 @@ def lattice_steps(span, step: float, what: str, minimum: int | None = 0):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform mesh on [0, L].
+    """Uniform mesh on [0, L], built from L and N alone.
 
     Attributes
     ----------
     length : float
-        Right endpoint L of the truncated domain.
+        Right endpoint L > 0 of the truncated domain.
     n_cells : int
-        Number of cells N; there are N + 1 nodes.
+        Number of cells N >= 1; there are N + 1 nodes.
     dx : float
         Cell width L / N.
     nodes : numpy.ndarray
-        Node coordinates, ``nodes[0] == 0`` and ``nodes[-1] == L`` exactly.
+        Read-only node coordinates, ``nodes[0] == 0`` and ``nodes[-1] == L`` exactly.
     """
 
     length: float
     n_cells: int
-    dx: float
-    nodes: np.ndarray = field(repr=False, compare=False)  # fixed by length and n_cells
+    dx: float = field(init=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)  # fixed by length and n_cells
 
     def __post_init__(self) -> None:
-        positive("length", self.length)
-        integer("n_cells", self.n_cells, 1)
-        positive("dx", self.dx)
-        nodes = self.nodes  # frozen in place below, so it takes no other kind
-        if float_array("nodes", nodes) is not nodes or nodes.shape != (self.n_cells + 1,):
-            raise ParameterError(f"nodes must be a float array of N + 1 values, got {nodes!r}")
+        length = float(positive("length", self.length))
+        n = int(integer("n_cells", self.n_cells, 1))
+        nodes = np.linspace(0.0, length, n + 1)
         nodes.setflags(write=False)
+        for name, value in (("length", length), ("n_cells", n), ("dx", length / n), ("nodes", nodes)):
+            object.__setattr__(self, name, value)
+
+    def last_node(self, x: float) -> int:
+        """Index of the last node at or below x, at most N: a node within
+        1e-9 of a step above x counts as at x, by the lattice tolerance."""
+        return min(self.n_cells, math.floor(x / self.dx + _LATTICE_TOL))
 
 
-def make_grid(length: float, n_cells: int) -> Grid:
-    """Build the uniform grid for the truncated domain.
-
-    Parameters
-    ----------
-    length : float
-        Domain size L > 0.
-    n_cells : int
-        Cell count N >= 1.
-    """
-    integer("N", n_cells, 1)
-    positive("L", length)
-    nodes = np.linspace(0.0, float(length), int(n_cells) + 1)
-    return Grid(float(length), int(n_cells), float(length) / int(n_cells), nodes)
+make_grid = Grid  # one constructor, also under the name that README and perfbench call
 
 
 @dataclass(frozen=True)
@@ -174,13 +165,12 @@ def _co_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
     of rows, so a row's norm does not depend on the rows beside it.
     """
     n_max = default_n_max(grid)
-    # Running sup over [0, x_i]; window sup for [0, min(n, L)] is a lookup.
+    # Running sup over [0, x_i]; window sup for [0, min(n, L)] is a lookup
+    # at last_node(n), which stops at N.
     prefix = np.maximum.accumulate(np.abs(values), axis=-1)
     total = np.zeros(values.shape[:-1])
     for n in range(1, n_max + 1):
-        x_hi = min(float(n), grid.length)
-        i = min(grid.n_cells, int(math.floor(x_hi / grid.dx + 1e-9)))
-        total += 2.0 ** (-n) * prefix[..., i]
+        total += 2.0 ** (-n) * prefix[..., grid.last_node(n)]
     total += 2.0 ** (-n_max) * prefix[..., -1]
     return total
 

@@ -40,7 +40,7 @@ def tail_mass(alpha: float, grid: Grid) -> float:
     x = L the neglected mass is O(1) for any L and the truncation would
     be meaningless.
     """
-    xs = grid.nodes[grid.nodes <= grid.length / 2.0 + 1e-12]
+    xs = grid.nodes[: grid.last_node(grid.length / 2.0) + 1]
     s = 2.0 * np.sqrt(alpha)
     vals = 0.5 * ((1.0 - erf((grid.length - xs) / s)) - (1.0 - erf((grid.length + xs) / s)))
     return float(np.max(vals))

@@ -333,7 +333,7 @@ def shared_matrix(grid: Grid, a: float, order: str, mu: float | None = None) -> 
     ``mu`` the killed propagator flush(e^{-mu a} H(a)): the array a live
     holder has, else a new one.  A killed propagator scales a live H(a) into
     a copy, else a fresh assembly in place: the same products either way."""
-    key = (grid, float(a), order, mu)  # a grid's nodes are fixed by its length and N
+    key = (grid, float(a), order, mu)  # a Grid derives its nodes from its length and N alone
     w = _SHARED.get(key)
     if w is None:
         h = _SHARED.get(key[:3] + (None,))

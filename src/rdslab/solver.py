@@ -148,9 +148,15 @@ class Trajectory:
 class PicardReport:
     """Per-sweep convergence record of :meth:`DelaySolver.picard_solve`."""
 
-    iterations: int
     changes: tuple[float, ...]
-    ratios: tuple[float, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.changes)
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        return tuple(b / a for a, b in zip(self.changes, self.changes[1:]))
 
     @property
     def max_ratio(self) -> float:
@@ -425,7 +431,6 @@ class DelaySolver:
             cur = new
             if changes[-1] <= PICARD_TOL:
                 break
-        ratios = tuple(b / a for a, b in zip(changes, changes[1:]))
-        report = PicardReport(len(changes), tuple(changes), ratios)
+        report = PicardReport(tuple(changes))
         return Trajectory(self.grid, self.params.tau, self.cfg.dt, cur[:, 0]), report
 

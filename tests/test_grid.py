@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from rdslab.errors import ParameterError
 from rdslab.grid import (
     Field,
+    Grid,
     Segment,
     default_n_max,
     make_grid,
@@ -35,10 +37,51 @@ def test_grids_built_alike_compare_equal():
     assert hash(make_grid(2.0, 4)) == hash(make_grid(2.0, 4))
 
 
+def test_a_grid_is_its_length_and_cell_count():
+    grid = Grid(20, 200)
+    assert grid == make_grid(20.0, 200) and hash(grid) == hash(make_grid(20.0, 200))
+    assert grid.nodes.tobytes() == make_grid(20.0, 200).nodes.tobytes()
+    assert grid.length == 20.0 and type(grid.length) is float and grid.dx == 20.0 / 200
+    assert not grid.nodes.flags.writeable
+    # spacing and nodes follow from L and N: a grid can no longer be given others
+    with pytest.raises(TypeError):
+        Grid(20.0, 200, 0.1, np.linspace(0.0, 40.0, 201))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.dx = 0.2
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 2.0, 5.0, 7.3, 20.0, 100.0, 1e3, 1e4])
+def test_last_node_keeps_the_nodes_of_the_absolute_mask(length):
+    # the step rule replaced ``nodes <= L/2 + 1e-12`` in tail_mass and
+    # kernel-bound; on these lengths the two keep the same nodes at every N
+    for n_cells in range(1, 4096):
+        grid = Grid(length, n_cells)
+        kept = np.count_nonzero(grid.nodes <= length / 2.0 + 1e-12)
+        assert grid.last_node(length / 2.0) + 1 == kept, n_cells
+
+
+def test_last_node_keeps_the_midpoint_the_absolute_mask_dropped():
+    # at L = 1e6 an absolute 1e-12 is below an ulp of L/2, so the mask lost
+    # the node x = L/2 wherever linspace rounded it just above L/2
+    grid = Grid(1e6, 14)
+    assert grid.nodes[7] > 5e5 and not grid.nodes[7] <= 5e5 + 1e-12
+    assert grid.last_node(5e5) == 7
+    for n_cells in range(1, 4096):
+        grid = Grid(1e6, n_cells)
+        kept = np.count_nonzero(grid.nodes <= 5e5 + 1e-12)
+        new = grid.last_node(5e5) + 1
+        assert new == kept or (n_cells % 2 == 0 and new == kept + 1 == n_cells // 2 + 1), n_cells
+
+
+def test_last_node_is_at_most_the_last_index():
+    grid = Grid(2.0, 4)
+    assert [grid.last_node(x) for x in (0.0, 0.49, 0.5, 0.5 - 1e-12, 2.0, 3.0)] == [0, 0, 1, 1, 4, 4]
+
+
 def test_make_grid_rejects_bad_inputs():
-    with pytest.raises(ParameterError, match="L"):
+    with pytest.raises(ParameterError, match="length"):
         make_grid(-1.0, 100)
-    with pytest.raises(ParameterError, match="N"):
+    with pytest.raises(ParameterError, match="n_cells"):
         make_grid(10.0, 0)
 
 

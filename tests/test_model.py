@@ -67,9 +67,9 @@ _MALFORMED = {
     "semigroup-mu": (lambda: DirichletHeatSemigroup(_GRID).operator(0.5, "a"), "mu", "a real number"),
     "semigroup-operator-t": (lambda: DirichletHeatSemigroup(_GRID).operator("a", 1.0),
                              "propagator time", "a real number"),
-    "make_grid-L": (lambda: make_grid("a", 10), "L", "a real number"),
-    "Grid-length": (lambda: Grid("a", 2, 0.5, np.array([0.0, 0.5, 1.0])), "length", "a real number"),
-    "Grid-nodes": (lambda: Grid(1.0, 2, 0.5, [0.0, 0.5, 1.0]), "nodes", "a float array"),
+    "make_grid-L": (lambda: make_grid("a", 10), "length", "a real number"),
+    "Grid-length": (lambda: Grid("a", 2), "length", "a real number"),
+    "Grid-n_cells": (lambda: Grid(1.0, 2.5), "n_cells", "an integer"),
     "Field-values": (lambda: Field(_GRID, "a"), "field values", "real"),
     "Segment-tau": (lambda: Segment(_GRID, "a", 0.05, _psi().values), "tau", "a real number"),
     "Segment-values": (lambda: Segment(_GRID, 0.1, 0.05, values="a"), "segment values", "real"),
